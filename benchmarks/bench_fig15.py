@@ -1,5 +1,6 @@
 """Benchmarks behind Fig 15: the three optimizer pipelines on
-running-example clusters (7 queries each)."""
+running-example clusters (7 queries each), plus the Sharon optimizer on
+a Fig 14 workload whose expansion grows 110 candidates into 810 options."""
 import pytest
 
 from repro.core.cost import CostModel, uniform_rates
@@ -8,7 +9,7 @@ from repro.core.optimizer import (
     greedy_optimizer,
     sharon_optimizer,
 )
-from repro.workloads import clustered_example_workload
+from repro.workloads import clustered_example_workload, shared_core_workload
 
 
 def _cost(wl):
@@ -25,6 +26,13 @@ def test_fig15_greedy(benchmark, n_clusters):
 def test_fig15_sharon(benchmark, n_clusters):
     wl = clustered_example_workload(n_clusters=n_clusters)
     benchmark(lambda: sharon_optimizer(wl, _cost(wl)))
+
+
+def test_fig15_sharon_shared_core(benchmark):
+    wl = shared_core_workload(
+        n_queries=20, pattern_len=10, family_size=4, core_frac=0.8
+    )
+    benchmark(lambda: sharon_optimizer(wl, _cost(wl), decompose=True))
 
 
 def test_fig15_exhaustive(benchmark):

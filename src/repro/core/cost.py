@@ -34,6 +34,10 @@ class CostModel:
     rates: Rates
     default_rate: float = 1.0
     _bvalue_cache: dict = field(default_factory=dict, repr=False)
+    # Per-query Eq 2 and Eq 6 terms, memoized so BValues of the many
+    # query-subset options of one pattern re-sum them instead of re-deriving.
+    _non_shared_memo: dict = field(default_factory=dict, repr=False)
+    _shared_memo: dict = field(default_factory=dict, repr=False)
 
     def rate(self, event_type: str) -> float:
         return float(self.rates.get(event_type, self.default_rate))
@@ -49,7 +53,13 @@ class CostModel:
 
     def non_shared(self, cand: SharingCandidate) -> float:
         """Eq 3: sum of Eq 2 over the candidate's queries."""
-        return sum(self.non_shared_query(self.workload[i]) for i in cand.qids)
+        return sum(self._non_shared_qid(i) for i in cand.qids)
+
+    def _non_shared_qid(self, i: int) -> float:
+        memo = self._non_shared_memo
+        if i not in memo:
+            memo[i] = self.non_shared_query(self.workload[i])
+        return memo[i]
 
     # -- Shared method (Section 3.3) ------------------------------------
     def comp(self, p: Pattern, q: Query) -> float:
@@ -81,9 +91,13 @@ class CostModel:
     def shared(self, cand: SharingCandidate) -> float:
         """Eq 7: shared-pattern chain once + per-query Comp/Comb."""
         once = self.rate(cand.p[0]) * self.pattern_rate(cand.p)
-        return once + sum(
-            self.shared_query(cand.p, self.workload[i]) for i in cand.qids
-        )
+        return once + sum(self._shared_qid(cand.p, i) for i in cand.qids)
+
+    def _shared_qid(self, p: Pattern, i: int) -> float:
+        memo = self._shared_memo
+        if (p, i) not in memo:
+            memo[p, i] = self.shared_query(p, self.workload[i])
+        return memo[p, i]
 
     # -- Benefit (Section 3.4) ------------------------------------------
     def bvalue(self, cand: SharingCandidate) -> float:

@@ -31,7 +31,10 @@ def conflict_causing_queries(
 
 
 def expand_candidate(
-    graph: SharonGraph, v: SharingCandidate, max_options: int = 128
+    graph: SharonGraph,
+    v: SharingCandidate,
+    max_options: int = 128,
+    causes: list[frozenset[int]] | None = None,
 ) -> list[SharingCandidate]:
     """Algorithm 5: BFS over query-subset options of v.
 
@@ -40,6 +43,11 @@ def expand_candidate(
     u's own options), the option (p, Q_p \\ C) is generated if it still
     has > 1 query and is new.
 
+    ``causes`` holds C(v, u) for each u in ``graph.neighbors(v)`` order
+    and is computed when not given. An option keeps v's pattern and a
+    subset of v's queries, so its causing queries against u are just
+    ``option.qids & C(v, u)``.
+
     ``max_options`` bounds the option set: Eq 14 makes the worst case
     exponential in the number of conflict-causing queries (the paper
     notes this), so generation stops once the bound is hit. Options are
@@ -47,24 +55,39 @@ def expand_candidate(
     achievable score, never produce an invalid plan — and BFS order
     keeps the largest query sets (highest-benefit options) first.
     """
+    if causes is None:
+        causes = [
+            conflict_causing_queries(graph.workload, v, u)
+            for u in graph.neighbors(v)
+        ]
     options: dict[frozenset[int], SharingCandidate] = {v.qids: v}
     current = [v]
     while current and len(options) < max_options:
         nxt: list[SharingCandidate] = []
         for cand in current:
-            for u in graph.neighbors(v):
-                qc = conflict_causing_queries(graph.workload, cand, u)
-                for r in range(1, len(qc) + 1):
-                    for combo in combinations(sorted(qc), r):
-                        qp = cand.qids - set(combo)
-                        if len(qp) > 1 and qp not in options:
-                            child = SharingCandidate(v.p, frozenset(qp))
+            # Dropping more than |Q| - 2 queries leaves no valid option.
+            max_drop = len(cand.qids) - 2
+            for cause in causes:
+                qc = sorted(cand.qids & cause)
+                for r in range(1, min(len(qc), max_drop) + 1):
+                    for combo in combinations(qc, r):
+                        qp = cand.qids.difference(combo)
+                        if qp not in options:
+                            child = SharingCandidate(v.p, qp)
                             options[qp] = child
                             nxt.append(child)
                             if len(options) >= max_options:
                                 return list(options.values())
         current = nxt
     return list(options.values())
+
+
+def _mask(qids: frozenset[int]) -> int:
+    """Query set as a bitmask: bit q is set for q in ``qids``."""
+    m = 0
+    for q in qids:
+        m |= 1 << q
+    return m
 
 
 def expand_graph(
@@ -76,16 +99,61 @@ def expand_graph(
     not beneficial are dropped (Alg 1's Line 3 applies to the expanded
     graph too). The original candidates keep their recorded weights so an
     injected-weight graph (tests) stays consistent.
+
+    Option edges are derived from the base edges, which must be the Def 6
+    conflicts of ``graph``'s vertices (as ``build_graph`` makes them).
+    Options a, b of base candidates v, u have a ⊆ Q_v, b ⊆ Q_u, so they
+    conflict iff a ∩ b meets C(v, u) when (v, u) is a base edge, iff
+    a ∩ b is non-empty when v = u, and never otherwise. Each adjacency
+    set receives its members in vertex order, exactly as pairwise
+    ``add_vertex`` insertion would.
     """
-    expanded = SharonGraph(graph.workload)
-    for v in graph.vertices:
-        for opt in expand_candidate(graph, v, max_options):
-            if opt.key() in expanded.adj:
+    base = graph.vertices
+    pos = {v.key(): i for i, v in enumerate(base)}
+    nbrs = [[pos[uk] for uk in graph.adj[v.key()]] for v in base]
+    # C(v, u) once per base edge; it is symmetric in v and u.
+    cause: dict[tuple[int, int], frozenset[int]] = {}
+    for i, v in enumerate(base):
+        for j in nbrs[i]:
+            if (i, j) not in cause:
+                cause[i, j] = cause[j, i] = conflict_causing_queries(
+                    graph.workload, v, base[j]
+                )
+
+    opts: list[SharingCandidate] = []
+    weights: dict[tuple, float] = {}
+    groups: dict[int, list[int]] = {}  # base index -> its options' indices
+    for i, v in enumerate(base):
+        causes = [cause[i, j] for j in nbrs[i]]
+        for opt in expand_candidate(graph, v, max_options, causes):
+            k = opt.key()
+            if k in weights:
                 continue
-            if opt.key() == v.key():
-                w = graph.weight(v)
-            else:
-                w = cost.bvalue(opt)
+            w = graph.weight(v) if k == v.key() else cost.bvalue(opt)
             if w > 0:
-                expanded.add_vertex(opt, w)
+                groups.setdefault(i, []).append(len(opts))
+                opts.append(opt)
+                weights[k] = w
+
+    keys = [o.key() for o in opts]
+    masks = [_mask(o.qids) for o in opts]
+    cause_mask = {e: _mask(qs) for e, qs in cause.items()}
+    adj: dict[tuple, set[tuple]] = {k: set() for k in keys}
+    for i, group in groups.items():
+        lower = sorted(j for j in nbrs[i] if j < i and j in groups)
+        for n, a in enumerate(group):
+            # Groups follow base order, so the options of lower base
+            # neighbours, then this group's, list earlier vertices in order.
+            earlier: list[int] = []
+            for j in lower:
+                shared = masks[a] & cause_mask[i, j]
+                if shared:
+                    earlier += [b for b in groups[j] if masks[b] & shared]
+            earlier += [b for b in group[:n] if masks[b] & masks[a]]
+            for b in earlier:
+                adj[keys[a]].add(keys[b])
+                adj[keys[b]].add(keys[a])
+
+    expanded = SharonGraph(graph.workload, weights=weights, adj=adj)
+    expanded.vertices = opts
     return expanded

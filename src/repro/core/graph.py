@@ -56,12 +56,24 @@ def in_conflict(
 
 @dataclass
 class SharonGraph:
-    """Adjacency-list Sharon graph (Definition 10)."""
+    """Adjacency-list Sharon graph (Definition 10).
+
+    Vertices live in a key -> candidate index kept in insertion order;
+    ``vertices`` reads it as a tuple and assigning a sequence rebuilds it.
+    """
 
     workload: Workload
-    vertices: list[SharingCandidate] = field(default_factory=list)
     weights: dict[tuple, float] = field(default_factory=dict)
     adj: dict[tuple, set[tuple]] = field(default_factory=dict)
+    _by_key: dict[tuple, SharingCandidate] = field(default_factory=dict, repr=False)
+
+    @property
+    def vertices(self) -> tuple[SharingCandidate, ...]:
+        return tuple(self._by_key.values())
+
+    @vertices.setter
+    def vertices(self, cands) -> None:
+        self._by_key = {c.key(): c for c in cands}
 
     def add_vertex(self, cand: SharingCandidate, weight: float) -> None:
         k = cand.key()
@@ -69,11 +81,11 @@ class SharonGraph:
             raise ValueError(f"duplicate vertex {k}")
         # Edges to existing vertices (Alg 1, Lines 6-8).
         self.adj[k] = set()
-        for u in self.vertices:
+        for uk, u in self._by_key.items():
             if in_conflict(self.workload, cand, u):
-                self.adj[k].add(u.key())
-                self.adj[u.key()].add(k)
-        self.vertices.append(cand)
+                self.adj[k].add(uk)
+                self.adj[uk].add(k)
+        self._by_key[k] = cand
         self.weights[k] = weight
 
     def remove_vertex(self, cand: SharingCandidate) -> None:
@@ -81,7 +93,7 @@ class SharonGraph:
         for u in self.adj.pop(k):
             self.adj[u].discard(k)
         self.weights.pop(k)
-        self.vertices = [v for v in self.vertices if v.key() != k]
+        del self._by_key[k]
 
     def weight(self, cand: SharingCandidate) -> float:
         return self.weights[cand.key()]
@@ -90,8 +102,7 @@ class SharonGraph:
         return len(self.adj[cand.key()])
 
     def neighbors(self, cand: SharingCandidate) -> list[SharingCandidate]:
-        by_key = {v.key(): v for v in self.vertices}
-        return [by_key[k] for k in self.adj[cand.key()]]
+        return [self._by_key[k] for k in self.adj[cand.key()]]
 
     def has_edge(self, a: SharingCandidate, b: SharingCandidate) -> bool:
         return b.key() in self.adj[a.key()]
@@ -100,12 +111,9 @@ class SharonGraph:
     def n_edges(self) -> int:
         return sum(len(s) for s in self.adj.values()) // 2
 
-    def total_weight(self) -> float:
-        return sum(self.weights.values())
-
     def copy(self) -> "SharonGraph":
         g = SharonGraph(self.workload)
-        g.vertices = list(self.vertices)
+        g._by_key = dict(self._by_key)
         g.weights = dict(self.weights)
         g.adj = {k: set(s) for k, s in self.adj.items()}
         return g

@@ -71,6 +71,17 @@ class Workload:
 
     queries: list[Query] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # Assumption 2: every query shares one window. The executors explode
+        # the stream once with the first query's WITHIN/SLIDE, so a query
+        # with another window would silently get wrong counts.
+        windows = {(q.within, q.slide) for q in self.queries}
+        if len(windows) > 1:
+            raise ValueError(
+                f"queries mix (WITHIN, SLIDE) windows {sorted(windows)}; "
+                "all queries of a workload must share one window"
+            )
+
     @classmethod
     def from_patterns(
         cls, patterns: Sequence[Sequence[str]], *, within: int = 600, slide: int = 60
@@ -108,9 +119,11 @@ class SharingCandidate:
             raise ValueError("sharable patterns have length > 1 (Def 3)")
         if len(self.qids) < 2:
             raise ValueError("sharing candidates need |Q_p| > 1 (Def 3)")
+        # Memoized: the optimizer looks candidates up by key constantly.
+        object.__setattr__(self, "_key", (self.p, tuple(sorted(self.qids))))
 
     def key(self) -> tuple:
-        return (self.p, tuple(sorted(self.qids)))
+        return self._key
 
 
 SharingPlan = frozenset[SharingCandidate]

@@ -1,6 +1,8 @@
 """Conflict resolution / candidate expansion tests (Section 7.1,
 Algorithms 5-6), pinned to the paper's Examples 13-15 on the q1-q7
 running example (query ids: q1=0 ... q7=6)."""
+from itertools import combinations
+
 import pytest
 
 from repro.core.ccspan import sharable_patterns
@@ -10,11 +12,18 @@ from repro.core.expand import (
     expand_candidate,
     expand_graph,
 )
-from repro.core.graph import build_graph, in_conflict
+from repro.core.graph import SharonGraph, build_graph, in_conflict
 from repro.core.gwmin import guaranteed_weight
-from repro.core.planner import find_optimal_plan
+from repro.core.model import SharingCandidate, Workload
+from repro.core.optimizer import sharon_optimizer
+from repro.core.planner import find_optimal_plan, find_optimal_plan_decomposed
 from repro.core.reduce import reduce_graph
-from repro.workloads import FIG4_WEIGHTS, traffic_workload
+from repro.workloads import (
+    FIG4_WEIGHTS,
+    clustered_example_workload,
+    shared_core_workload,
+    traffic_workload,
+)
 
 P1 = ("OakSt", "MainSt")
 P2 = ("ParkAve", "OakSt")
@@ -138,3 +147,117 @@ class TestExpansionElsewhere:
         b = by_qids.get(frozenset({2, 3}))
         if a is not None and b is not None:
             assert not in_conflict(workload, a, b)
+
+
+def _pairwise_options(graph, v, max_options):
+    """Reference Alg 5: every option re-derives its causes against u."""
+    options = {v.qids: v}
+    current = [v]
+    while current and len(options) < max_options:
+        nxt = []
+        for cand in current:
+            for u in graph.neighbors(v):
+                qc = conflict_causing_queries(graph.workload, cand, u)
+                for r in range(1, len(qc) + 1):
+                    for combo in combinations(sorted(qc), r):
+                        qp = cand.qids - set(combo)
+                        if len(qp) > 1 and qp not in options:
+                            options[qp] = SharingCandidate(v.p, frozenset(qp))
+                            nxt.append(options[qp])
+                            if len(options) >= max_options:
+                                return list(options.values())
+        current = nxt
+    return list(options.values())
+
+
+def _pairwise_expand_graph(graph, cost, max_options=128):
+    """Reference Alg 6: ``add_vertex`` tests every option pair with
+    ``in_conflict``."""
+    ref = SharonGraph(graph.workload)
+    for v in graph.vertices:
+        for opt in _pairwise_options(graph, v, max_options):
+            if opt.key() in ref.adj:
+                continue
+            w = graph.weight(v) if opt.key() == v.key() else cost.bvalue(opt)
+            if w > 0:
+                ref.add_vertex(opt, w)
+    return ref
+
+
+def _fig4_case():
+    wl = traffic_workload()
+    cost = CostModel(wl, uniform_rates(wl.event_types, 10.0))
+    return wl, cost, build_graph(wl, sharable_patterns(wl), weights=FIG4_WEIGHTS)
+
+
+def _cost_case(wl, rate=2.0):
+    cost = CostModel(wl, uniform_rates(wl.event_types, rate))
+    return wl, cost, build_graph(wl, sharable_patterns(wl), cost=cost)
+
+
+DIFF_CASES = {
+    "fig4": _fig4_case,
+    "clustered3": lambda: _cost_case(clustered_example_workload(n_clusters=3)),
+    "shared_core": lambda: _cost_case(
+        shared_core_workload(n_queries=8, pattern_len=5, family_size=4, core_frac=0.8)
+    ),
+    # Repeated types (Section 7.3): (A,B) and (B,C) overlap in q0 and q2
+    # but not in q1 or q3, so C(v, u) is a strict subset of Q_v ∩ Q_u.
+    # Without repeats any two patterns sharing a query and a type overlap.
+    "repeated_types": lambda: _cost_case(
+        Workload.from_patterns(
+            [
+                ("A", "B", "C"),
+                ("B", "C", "D", "A", "B"),
+                ("A", "B", "C", "E"),
+                ("B", "C", "F", "A", "B"),
+            ]
+        )
+    ),
+}
+
+
+class TestDerivedEdgesMatchPairwise:
+    """``expand_graph`` derives option edges from base-edge conflict sets;
+    it must equal the pairwise construction down to insertion order."""
+
+    @pytest.mark.parametrize(
+        "case,max_options",
+        [
+            ("fig4", 128),
+            ("clustered3", 128),
+            ("shared_core", 128),
+            ("shared_core", 4),
+            ("repeated_types", 128),
+        ],
+    )
+    def test_same_vertices_weights_and_adjacency(self, case, max_options):
+        _, cost, g = DIFF_CASES[case]()
+        if max_options < 128:  # the case must really truncate
+            assert any(
+                len(expand_candidate(g, v)) > max_options for v in g.vertices
+            )
+        got = expand_graph(g, cost, max_options)
+        ref = _pairwise_expand_graph(g, cost, max_options)
+        assert got.n_edges > 0
+        assert [v.key() for v in got.vertices] == [v.key() for v in ref.vertices]
+        assert list(got.weights.items()) == list(ref.weights.items())
+        # Same members inserted in the same order: same iteration order,
+        # which is what BFS neighbour order and float sums over sets see.
+        assert list(got.adj) == list(ref.adj)
+        assert {k: list(s) for k, s in got.adj.items()} == {
+            k: list(s) for k, s in ref.adj.items()
+        }
+
+    @pytest.mark.parametrize("case", ["clustered3", "shared_core", "repeated_types"])
+    @pytest.mark.parametrize("decompose", [False, True])
+    def test_sharon_optimizer_plan_unchanged(self, case, decompose):
+        wl, cost, g = DIFF_CASES[case]()
+        ref = _pairwise_expand_graph(g, cost)
+        red = reduce_graph(ref, guaranteed_weight(ref))
+        finder = find_optimal_plan_decomposed if decompose else find_optimal_plan
+        plan, score = finder(red.graph, red.conflict_free)
+        score += sum(ref.weight(v) for v in red.conflict_free)
+        res = sharon_optimizer(wl, cost, decompose=decompose)
+        assert res.plan == plan
+        assert res.score == score

@@ -74,10 +74,7 @@ def random_graph(n, p_edge, seed):
     for i in range(n):
         cand = SharingCandidate((f"T{i:03d}", f"U{i:03d}"), frozenset({0, 1}))
         cands.append(cand)
-        k = cand.key()
-        g.adj[k] = set()
-        g.vertices.append(cand)
-        g.weights[k] = rng.randint(1, 30)
+        g.add_vertex(cand, rng.randint(1, 30))  # no Def 6 conflicts here
     for a, b in itertools.combinations(cands, 2):
         if rng.random() < p_edge:
             g.adj[a.key()].add(b.key())

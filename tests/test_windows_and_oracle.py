@@ -142,6 +142,19 @@ class TestQueryModel:
         with pytest.raises(ValueError):
             Query(qid=0, pattern=())
 
+    @pytest.mark.parametrize("second", [(60, 60), (600, 300), (300, 60)])
+    def test_mixed_windows_rejected(self, second):
+        # Assumption 2: the executors explode the stream once with the first
+        # query's window, so a query with another window would get its counts.
+        within, slide = second
+        with pytest.raises(ValueError, match="window"):
+            Workload(
+                [
+                    Query(qid=0, pattern=("A", "B"), within=600, slide=60),
+                    Query(qid=1, pattern=("B", "C"), within=within, slide=slide),
+                ]
+            )
+
     def test_workload_event_types(self):
         wl = Workload.from_patterns([("A", "B"), ("B", "C")])
         assert wl.event_types == {"A", "B", "C"}
