@@ -25,7 +25,7 @@ def test_fig15_greedy(benchmark, n_clusters):
 @pytest.mark.parametrize("n_clusters", [2, 4])
 def test_fig15_sharon(benchmark, n_clusters):
     wl = clustered_example_workload(n_clusters=n_clusters)
-    benchmark(lambda: sharon_optimizer(wl, _cost(wl)))
+    benchmark(lambda: sharon_optimizer(wl, _cost(wl), decompose=False))
 
 
 def test_fig15_sharon_shared_core(benchmark):

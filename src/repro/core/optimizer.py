@@ -129,14 +129,15 @@ def sharon_optimizer(
     workload: Workload,
     cost: CostModel,
     *,
-    decompose: bool = False,
+    decompose: bool = True,
     max_options: int = 128,
 ) -> OptimizerResult:
     """SO: construction + expansion + reduction + plan finder (optimal).
 
-    ``decompose=True`` runs the finder per connected component (same
-    optimum, far smaller traversal — see planner docs); the paper's
-    as-printed finder is the default."""
+    By default the finder runs per connected component (same optimum,
+    far smaller traversal — see planner docs). ``decompose=False`` runs
+    the paper's as-printed finder, whose plan levels grow with the
+    product of the components' valid spaces."""
     from .reduce import reduce_graph  # local import avoids cycle at module load
 
     g, t_build = _construct(workload, cost)

@@ -30,8 +30,10 @@ enforces by value (``searchsorted`` on times), never by row position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+import pandas as pd
 
 
 def strict_prev_cumsum(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -65,22 +67,34 @@ def _carry_strict(
 class TypeIndex:
     """Per-partition index: for each event type, the sorted times (and
     original positions) of its events. Built once per partition and
-    shared by every query — the executor's event store."""
+    shared by every query — the executor's event store.
 
-    def __init__(self, times: np.ndarray, types: np.ndarray):
+    ``types`` holds either type names, or int codes into ``names`` (the
+    executors encode a stream's types once, so no partition argsorts
+    strings). Either way the index is keyed by type name."""
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        types: np.ndarray,
+        names: Sequence[str] | None = None,
+    ):
         self.times = times
         self.n = len(times)
         self._by_type: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         if self.n == 0:
             return
+        if names is None:
+            types, names = pd.factorize(types, use_na_sentinel=False)
         order = np.argsort(types, kind="stable")
-        sorted_types = types[order]
+        sorted_codes = types[order]
         bounds = np.flatnonzero(
-            np.r_[True, sorted_types[1:] != sorted_types[:-1], True]
+            np.r_[True, sorted_codes[1:] != sorted_codes[:-1], True]
         )
         for a, b in zip(bounds[:-1], bounds[1:]):
-            pos = np.sort(order[a:b])
-            self._by_type[str(sorted_types[a])] = (times[pos], pos)
+            # A stable argsort lists each type's positions ascending.
+            pos = order[a:b]
+            self._by_type[str(names[sorted_codes[a]])] = (times[pos], pos)
 
     def times_of(self, t: str) -> np.ndarray:
         return self._by_type.get(t, (np.empty(0, dtype=self.times.dtype), None))[0]
@@ -267,8 +281,13 @@ class SharedCache:
       as the three-factor product. O(Rate(Em) x Rate(p)).
     """
 
-    def __init__(self, times: np.ndarray, types: np.ndarray):
-        self.index = TypeIndex(times, types)
+    def __init__(
+        self,
+        times: np.ndarray,
+        types: np.ndarray,
+        names: Sequence[str] | None = None,
+    ):
+        self.index = TypeIndex(times, types, names)
         self._c: dict[tuple[str, ...], tuple] = {}
         self._fwd: dict[tuple[str, ...], tuple] = {}
         self._rev: dict[tuple[str, ...], np.ndarray] = {}

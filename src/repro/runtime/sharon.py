@@ -14,7 +14,7 @@ A true JVM physical operator is out of scope offline (DESIGN.md §2);
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -23,9 +23,10 @@ from pyspark.sql import functions as F
 
 from ..core.model import SharingCandidate, Workload
 from .kernels import Segment, SharedCache, compile_segments, eval_query
-from .windows import explode_windows
+from .windows import explode_windows, explode_windows_pandas, split_partitions
 
 _OUT_SCHEMA = "wid long, key long, qid long, cnt double"
+_OUT_COLUMNS = ["wid", "key", "qid", "cnt"]
 
 # A compiled plan is plain data (picklable into Spark task closures):
 # qid -> list of (pattern, shared) segment tuples.
@@ -50,28 +51,51 @@ def compile_plan(
     return spec
 
 
-def make_kernel(spec: CompiledPlan) -> Callable[[pd.DataFrame], pd.DataFrame]:
-    """Per-partition kernel: evaluate every query of the workload over
-    one (wid, key) group, sharing C-matrices through a SharedCache."""
-
-    compiled = {
+def _segments(spec: CompiledPlan) -> dict[int, list[Segment]]:
+    return {
         qid: [Segment(p, shared) for p, shared in seg_spec]
         for qid, seg_spec in spec.items()
     }
 
+
+def evaluate_partition(
+    times: np.ndarray,
+    codes: np.ndarray,
+    names: Sequence[str],
+    compiled: dict[int, list[Segment]],
+) -> tuple[list[tuple[int, float]], dict]:
+    """Evaluate every query of the workload over one (wid, key)
+    partition, sharing aggregates through one SharedCache.
+
+    ``times`` are ascending; ``codes`` index ``names``. Returns the
+    (qid, cnt) rows with cnt > 0, and the partition's kernel-state
+    stats (shared builds and their bytes)."""
+    cache = SharedCache(times, codes, names)
+    rows = []
+    for qid, segments in compiled.items():
+        cnt = eval_query(times, codes, segments, cache)
+        if cnt > 0:
+            rows.append((qid, cnt))
+    return rows, {"c_builds": cache.builds, "c_bytes": cache.state_bytes}
+
+
+def make_kernel(spec: CompiledPlan) -> Callable[[pd.DataFrame], pd.DataFrame]:
+    """Per-partition kernel: :func:`evaluate_partition` over one
+    (wid, key) group."""
+
+    compiled = _segments(spec)
+
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("time", kind="stable")
-        times = pdf["time"].to_numpy(np.int64)
-        types = pdf["type"].to_numpy(dtype="U")
-        cache = SharedCache(times, types)
+        codes, names = pd.factorize(pdf["type"], use_na_sentinel=False)
+        rows, _ = evaluate_partition(
+            pdf["time"].to_numpy(np.int64), codes, names, compiled
+        )
         wid = int(pdf["wid"].iloc[0])
         key = int(pdf["key"].iloc[0])
-        rows = []
-        for qid, segments in compiled.items():
-            cnt = eval_query(times, types, segments, cache)
-            if cnt > 0:
-                rows.append((wid, key, qid, cnt))
-        return pd.DataFrame(rows, columns=["wid", "key", "qid", "cnt"])
+        return pd.DataFrame(
+            [(wid, key, qid, cnt) for qid, cnt in rows], columns=_OUT_COLUMNS
+        )
 
     return kernel
 
@@ -106,31 +130,20 @@ def run_plan_pandas(
     builds) which Spark task closures cannot report, and by the chunked
     streaming driver. Returns (counts, stats).
     """
-    from .windows import explode_windows_pandas
-
     q0 = workload[0]
     exploded = explode_windows_pandas(
         events, within=q0.within, slide=q0.slide
     )
-    spec = compile_plan(workload, plan)
-    compiled = {
-        qid: [Segment(p, shared) for p, shared in seg_spec]
-        for qid, seg_spec in spec.items()
-    }
+    names, parts = split_partitions(exploded)
+    compiled = _segments(compile_plan(workload, plan))
     rows = []
-    stats = {"partitions": 0, "c_builds": 0, "c_bytes": 0}
-    for (wid, key), g in exploded.groupby(["wid", "key"], sort=True):
-        times = g["time"].to_numpy(np.int64)
-        types = g["type"].to_numpy(dtype="U")
-        cache = SharedCache(times, types)
-        for qid, segments in compiled.items():
-            cnt = eval_query(times, types, segments, cache)
-            if cnt > 0:
-                rows.append((int(wid), int(key), qid, cnt))
-        stats["partitions"] += 1
-        stats["c_builds"] += cache.builds
-        stats["c_bytes"] += cache.state_bytes
-    counts = pd.DataFrame(rows, columns=["wid", "key", "qid", "cnt"])
+    stats = {"partitions": len(parts), "c_builds": 0, "c_bytes": 0}
+    for wid, key, times, codes in parts:
+        part_rows, part_stats = evaluate_partition(times, codes, names, compiled)
+        rows += [(wid, key, qid, cnt) for qid, cnt in part_rows]
+        stats["c_builds"] += part_stats["c_builds"]
+        stats["c_bytes"] += part_stats["c_bytes"]
+    counts = pd.DataFrame(rows, columns=_OUT_COLUMNS)
     return counts, stats
 
 

@@ -18,16 +18,17 @@ import pandas as pd
 
 from ..core.model import Workload
 from .kernels import strict_prev_cumsum
-from .windows import explode_windows_pandas
+from .windows import explode_windows_pandas, split_partitions
 
 
 @dataclass
 class ChainState:
     """Per-(wid, key, query) carry: cumulative completion totals per
     pattern-prefix length — exactly the counts of the paper's Figure 6,
-    totalled over all START events seen so far."""
+    totalled over all START events seen so far. ``pattern`` is encoded
+    like the types fed to :meth:`update` (names, or int codes)."""
 
-    pattern: tuple[str, ...]
+    pattern: tuple
     carry: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -61,6 +62,12 @@ class MicroBatchExecutor:
         self.workload = workload
         self.states: dict[tuple[int, int, int], ChainState] = {}
         self._last_time = -1
+        # Chain states see types as fixed int codes, the same in every
+        # batch; -1 marks a type no query uses.
+        self._code_of = {t: c for c, t in enumerate(sorted(workload.event_types))}
+        self._patterns = {
+            q.qid: tuple(self._code_of[t] for t in q.pattern) for q in workload
+        }
 
     def process_batch(self, batch: pd.DataFrame) -> None:
         if batch.empty:
@@ -77,14 +84,15 @@ class MicroBatchExecutor:
         exploded = explode_windows_pandas(
             batch, within=q0.within, slide=q0.slide
         )
-        for (wid, key), g in exploded.groupby(["wid", "key"], sort=False):
-            times = g["time"].to_numpy(np.int64)
-            types = g["type"].to_numpy(dtype="U")
+        names, parts = split_partitions(exploded)
+        recode = np.array([self._code_of.get(n, -1) for n in names], dtype=int)
+        for wid, key, times, codes in parts:
+            codes = recode[codes]
             for q in self.workload:
-                k = (int(wid), int(key), q.qid)
+                k = (wid, key, q.qid)
                 if k not in self.states:
-                    self.states[k] = ChainState(q.pattern)
-                self.states[k].update(times, types)
+                    self.states[k] = ChainState(self._patterns[q.qid])
+                self.states[k].update(times, codes)
 
     def results(self) -> pd.DataFrame:
         rows = [

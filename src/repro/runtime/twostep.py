@@ -13,20 +13,12 @@ sequences first, aggregate afterwards.
   (start, end) times with a multiplicity count; mid events are
   aggregated away during construction, which is the endpoint
   compression SPASS's interval representation affords.
-
-- :func:`estimated_sequences`: expected sequence count per window under
-  uniform rates — used to mark DNF configurations before launching a
-  join that provably cannot finish (the paper reports Flink/SPASS
-  failing beyond 6k/7k events per window).
 """
 from __future__ import annotations
-
-import math
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.cost import CostModel
 from ..core.model import SharingCandidate, Workload
 from .kernels import compile_segments
 from .windows import explode_windows
@@ -142,15 +134,3 @@ def spass_like(
         )
         out = cnt if out is None else out.unionByName(cnt)
     return out
-
-
-def estimated_sequences(workload: Workload, cost: CostModel) -> float:
-    """Expected constructed sequences per window across the workload
-    (uniform-rate estimate: prod rates / l! orderings) — the DNF guard."""
-    total = 0.0
-    for q in workload:
-        prod = 1.0
-        for t in q.pattern:
-            prod *= cost.rate(t)
-        total += prod / math.factorial(len(q.pattern))
-    return total

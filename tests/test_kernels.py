@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.runtime.kernels import (
     Segment,
     SharedCache,
+    TypeIndex,
     brute_force_count,
     c_matrix,
     chain_counts,
@@ -212,6 +213,35 @@ class TestSharedCacheReuse:
         cache = SharedCache(times, types)
         cache.get(("A", "B"))
         assert cache.state_bytes == 8  # one 1x1 C matrix
+
+
+class TestIntCodedTypes:
+    def test_codes_index_like_names(self):
+        rng = np.random.default_rng(3)
+        times = np.sort(rng.integers(0, 40, 60)).astype(np.int64)
+        types = rng.choice(list("ABCDE"), 60).astype("U8")
+        names = ["E", "A", "D", "C", "B", "Z"]
+        codes = np.array([names.index(t) for t in types])
+        by_name = TypeIndex(times, types)
+        by_code = TypeIndex(times, codes, names)
+        for t in names:
+            assert by_code.times_of(t).tolist() == by_name.times_of(t).tolist()
+            assert (
+                by_code.positions_of(t).tolist()
+                == by_name.positions_of(t).tolist()
+                == np.flatnonzero(types == t).tolist()
+            )
+
+    def test_shared_cache_over_codes(self):
+        times, types = stream(
+            (1, "A"), (2, "B"), (3, "C"), (3, "A"), (4, "B"), (5, "C"), (6, "D")
+        )
+        names = ["D", "C", "B", "A"]
+        codes = np.array([names.index(t) for t in types])
+        segs = compile_segments(("A", "B", "C", "D"), [("B", "C")])
+        want = eval_query(times, types, segs, SharedCache(times, types))
+        got = eval_query(times, codes, segs, SharedCache(times, codes, names))
+        assert got == want == brute_force_count(times, types, ("A", "B", "C", "D"))
 
 
 class TestEdgeCases:

@@ -44,7 +44,7 @@ class TestScoreOrdering:
 
     def test_sharon_decomposed_same_score(self, workload):
         cost = cost_for(workload)
-        a = sharon_optimizer(workload, cost)
+        a = sharon_optimizer(workload, cost, decompose=False)
         b = sharon_optimizer(workload, cost, decompose=True)
         assert abs(a.score - b.score) < 1e-9
 
@@ -100,3 +100,17 @@ class TestClusteredWorkloadQualityGap:
         res = reoptimize(wl, cost_for(wl))
         assert res.name == "sharon"
         assert res.score > 0
+
+    def test_reoptimize_runs_decomposed_finder(self):
+        # The as-printed finder's plan levels grow with the product of
+        # the components' valid spaces; on 20-query workloads it runs
+        # out of memory, so the dynamic hook must not use it.
+        wl = clustered_example_workload(n_clusters=3)
+        cost = cost_for(wl, rate=2.0)
+        printed = sharon_optimizer(wl, cost, decompose=False)
+        decomposed = sharon_optimizer(wl, cost, decompose=True)
+        assert decomposed.phase_memory["finder"] < printed.phase_memory["finder"]
+        res = reoptimize(wl, cost)
+        assert res.phase_memory["finder"] == decomposed.phase_memory["finder"]
+        assert sharon_optimizer(wl, cost).phase_memory == decomposed.phase_memory
+        assert res.score == decomposed.score

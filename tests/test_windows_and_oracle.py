@@ -1,5 +1,6 @@
 """Window assignment (Spark vs pandas twins), the oracle SQL builder,
 and Section 7.3 (repeated event types in a pattern) end to end."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -10,6 +11,7 @@ from repro.runtime.windows import (
     explode_windows,
     explode_windows_pandas,
     n_windows,
+    split_partitions,
 )
 from repro.synth_data import event_stream, stream_to_spark
 
@@ -64,6 +66,117 @@ class TestWindowMath:
             want[["time", "key", "type", "wid"]],
             check_dtype=False,
         )
+
+
+def explode_per_event(events, *, within, slide):
+    """Reference explosion: one ``arange`` of window ids per event. The
+    empty seed array lets it return an empty frame for an empty stream."""
+    t = events["time"].to_numpy()
+    lo = np.maximum(0, (t - within) // slide + 1)
+    hi = t // slide
+    reps = (hi - lo + 1).astype(int)
+    out = events.loc[events.index.repeat(reps)].reset_index(drop=True)
+    wid = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    )
+    out["wid"] = wid.astype("int64")
+    return out.sort_values(["wid", "key", "time"], kind="stable").reset_index(
+        drop=True
+    )
+
+
+def random_stream(seed, n, horizon, n_keys=3):
+    """Unsorted events with many tied timestamps, starting at time 0 (so
+    early events fall in fewer windows), under a shuffled unique index."""
+    rng = np.random.default_rng(seed)
+    pdf = pd.DataFrame(
+        {
+            "time": rng.integers(0, horizon, n).astype(np.int64),
+            "key": rng.integers(0, n_keys, n).astype(np.int64),
+            "type": rng.choice(list("ABCD"), n),
+        }
+    )
+    return pdf.sample(frac=1.0, random_state=seed)
+
+
+class TestVectorizedExplosion:
+    """explode_windows_pandas against the per-event loop it replaced:
+    same rows, row order (ties in stream order), columns and dtypes."""
+
+    @pytest.mark.parametrize(
+        "within,slide",
+        [(100, 50), (120, 60), (100, 100), (100, 30), (30, 100), (7, 3)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_streams(self, within, slide, seed):
+        pdf = random_stream(seed, n=300, horizon=400)
+        pd.testing.assert_frame_equal(
+            explode_windows_pandas(pdf, within=within, slide=slide),
+            explode_per_event(pdf, within=within, slide=slide),
+        )
+
+    def test_events_in_no_window(self):
+        # slide > within leaves gaps: t = 30..99 lies in no window.
+        pdf = pd.DataFrame(
+            {"time": [5, 40, 99, 100, 135], "key": [0] * 5, "type": list("ABCDA")}
+        )
+        out = explode_windows_pandas(pdf, within=30, slide=100)
+        assert out["time"].tolist() == [5, 100]
+        assert out["wid"].tolist() == [0, 1]
+        pd.testing.assert_frame_equal(
+            out, explode_per_event(pdf, within=30, slide=100)
+        )
+
+    def test_one_event(self):
+        pdf = pd.DataFrame({"time": [250], "key": [3], "type": ["B"]})
+        out = explode_windows_pandas(pdf, within=100, slide=30)
+        assert out["wid"].tolist() == [6, 7, 8]
+        pd.testing.assert_frame_equal(
+            out, explode_per_event(pdf, within=100, slide=30)
+        )
+
+    def test_empty_stream(self):
+        pdf = pd.DataFrame(
+            {
+                "time": np.empty(0, dtype=np.int64),
+                "key": np.empty(0, dtype=np.int64),
+                "type": np.empty(0, dtype=object),
+            }
+        )
+        out = explode_windows_pandas(pdf, within=100, slide=50)
+        assert out.empty and list(out.columns) == ["time", "key", "type", "wid"]
+        pd.testing.assert_frame_equal(
+            out, explode_per_event(pdf, within=100, slide=50)
+        )
+
+    def test_run_plan_pandas_empty_stream(self):
+        from repro.runtime.sharon import run_plan_pandas
+
+        pdf = pd.DataFrame(
+            {
+                "time": np.empty(0, dtype=np.int64),
+                "key": np.empty(0, dtype=np.int64),
+                "type": np.empty(0, dtype=object),
+            }
+        )
+        wl = Workload.from_patterns([("A", "B")], within=100, slide=50)
+        counts, stats = run_plan_pandas(pdf, wl, None)
+        assert counts.empty
+        assert list(counts.columns) == ["wid", "key", "qid", "cnt"]
+        assert stats == {"partitions": 0, "c_builds": 0, "c_bytes": 0}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_matches_groupby(self, seed):
+        exploded = explode_windows_pandas(
+            random_stream(seed, n=300, horizon=400), within=100, slide=30
+        )
+        names, parts = split_partitions(exploded)
+        groups = list(exploded.groupby(["wid", "key"], sort=True))
+        assert [(w, k) for w, k, _, _ in parts] == [wk for wk, _ in groups]
+        for (_, _, times, codes), (_, g) in zip(parts, groups):
+            assert times.tolist() == g["time"].tolist()
+            assert [names[c] for c in codes] == g["type"].tolist()
 
 
 class TestOracleSqlBuilder:
