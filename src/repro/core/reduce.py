@@ -17,19 +17,20 @@ from .graph import SharonGraph
 from .model import SharingCandidate
 
 
-def score_max(graph: SharonGraph, v: SharingCandidate, extra: float = 0.0) -> float:
+def score_max(
+    graph: SharonGraph,
+    v: SharingCandidate,
+    extra: float = 0.0,
+    total: float | None = None,
+) -> float:
     """Def 12: best score of a plan containing v = weights of all
     candidates not in conflict with v (v itself included) + ``extra``
-    for candidates already guaranteed in the plan."""
-    vk = v.key()
-    blocked = graph.adj[vk]
-    # Total-minus-neighbors form: O(degree) instead of O(|V|), which
-    # keeps Alg 2's sweep quadratic rather than cubic on big graphs.
-    return (
-        extra
-        + sum(graph.weights.values())
-        - sum(graph.weights[k] for k in blocked)
-    )
+    for candidates already guaranteed in the plan. ``total`` is
+    ``sum(graph.weights.values())`` when the caller keeps it."""
+    if total is None:
+        total = sum(graph.weights.values())
+    # Total-minus-neighbors form: O(degree) given the graph's total.
+    return extra + total - sum(graph.weights[k] for k in graph.adj[v.key()])
 
 
 @dataclass
@@ -46,6 +47,9 @@ def reduce_graph(graph: SharonGraph, min_weight: float) -> ReductionResult:
     free: list[SharingCandidate] = []
     pruned: list[SharingCandidate] = []
     free_weight = 0.0
+    # The graph's total weight changes only when a vertex goes; it is
+    # re-summed then (same order, so the same float as a fresh sum).
+    total = sum(g.weights.values())
     changed = True
     while changed:
         changed = False
@@ -53,10 +57,11 @@ def reduce_graph(graph: SharonGraph, min_weight: float) -> ReductionResult:
             if g.degree(v) == 0:
                 free.append(v)
                 free_weight += g.weight(v)
-                g.remove_vertex(v)
-                changed = True
-            elif score_max(g, v, extra=free_weight) < min_weight:
+            elif score_max(g, v, free_weight, total) < min_weight:
                 pruned.append(v)
-                g.remove_vertex(v)
-                changed = True
+            else:
+                continue
+            g.remove_vertex(v)
+            total = sum(g.weights.values())
+            changed = True
     return ReductionResult(graph=g, conflict_free=free, pruned=pruned)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from ..core.cost import CostModel
 from ..core.model import SharingCandidate, Workload
+from .sharon import compile_plan
 
-_AGG_BYTES = 8  # one float64 count
+_AGG_BYTES = 8  # one int64 count
 
 
 def aseq_aggregates(workload: Workload, cost: CostModel) -> float:
@@ -39,23 +40,15 @@ def sharon_aggregates(
     workload: Workload, cost: CostModel, plan: list[SharingCandidate]
 ) -> float:
     """Modeled aggregate count for the Sharon executor under a plan."""
-    shared_of: dict[int, list] = {q.qid: [] for q in workload}
     total = 0.0
     for cand in plan:
         total += cost.rate(cand.p[0]) * len(cand.p)  # shared chain, once
-        for qid in cand.qids:
-            shared_of[qid].append(cand.p)
-    for q in workload:
-        if not shared_of[q.qid]:
-            total += cost.rate(q.pattern[0]) * len(q.pattern)
-            continue
-        from .kernels import compile_segments
-
-        for seg in compile_segments(q.pattern, shared_of[q.qid]):
-            if seg.shared:
-                total += cost.rate(seg.pattern[0])  # combination counts
+    for segments in compile_plan(workload, plan).values():
+        for pattern, shared in segments:
+            if shared:
+                total += cost.rate(pattern[0])  # combination counts
             else:
-                total += cost.rate(seg.pattern[0]) * len(seg.pattern)
+                total += cost.rate(pattern[0]) * len(pattern)
     return total
 
 

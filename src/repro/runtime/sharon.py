@@ -5,16 +5,20 @@ distributed dataflow.
 segment spec (the "compiled sharing graph"); ``run_plan`` explodes the
 stream into sliding windows, partitions by ``(wid, key)`` — the
 ``WHERE [vehicle]`` predicate makes partitions independent — and runs
-one vectorized kernel per partition via ``applyInPandas``. Inside a
-partition every shared pattern's C-matrix is built once and reused by
+the kernels' one-pass core, :func:`kernels.evaluate_partitions`, on each
+partition via ``applyInPandas``. The driver-local twin
+(:func:`run_plan_pandas`) runs the same core once over all partitions.
+Every shared pattern's aggregate is built once per call and reused by
 all queries sharing it; residual prefix/suffix segments run per query.
+Counts are exact int64 (``cnt long``); a count of 2^63 or more raises
+OverflowError (see :mod:`kernels`).
 
 A true JVM physical operator is out of scope offline (DESIGN.md §2);
 ``applyInPandas`` over Catalyst's shuffle is the documented substitute.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -22,10 +26,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.model import SharingCandidate, Workload
-from .kernels import Segment, SharedCache, compile_segments, eval_query
-from .windows import explode_windows, explode_windows_pandas, split_partitions
+from .kernels import Segment, compile_segments, evaluate_partitions
+from .windows import explode_windows, partition_rows
 
-_OUT_SCHEMA = "wid long, key long, qid long, cnt double"
+_OUT_SCHEMA = "wid long, key long, qid long, cnt long"
 _OUT_COLUMNS = ["wid", "key", "qid", "cnt"]
 
 # A compiled plan is plain data (picklable into Spark task closures):
@@ -58,43 +62,32 @@ def _segments(spec: CompiledPlan) -> dict[int, list[Segment]]:
     }
 
 
-def evaluate_partition(
-    times: np.ndarray,
-    codes: np.ndarray,
-    names: Sequence[str],
-    compiled: dict[int, list[Segment]],
-) -> tuple[list[tuple[int, float]], dict]:
-    """Evaluate every query of the workload over one (wid, key)
-    partition, sharing aggregates through one SharedCache.
-
-    ``times`` are ascending; ``codes`` index ``names``. Returns the
-    (qid, cnt) rows with cnt > 0, and the partition's kernel-state
-    stats (shared builds and their bytes)."""
-    cache = SharedCache(times, codes, names)
-    rows = []
-    for qid, segments in compiled.items():
-        cnt = eval_query(times, codes, segments, cache)
-        if cnt > 0:
-            rows.append((qid, cnt))
-    return rows, {"c_builds": cache.builds, "c_bytes": cache.state_bytes}
+def _rows(
+    counts: np.ndarray, qids: np.ndarray, wids: np.ndarray, keys: np.ndarray
+) -> pd.DataFrame:
+    """(wid, key, qid, cnt) rows of the nonzero counts, ``counts[i, p]``
+    being query ``qids[i]``'s count in partition p; partition-major."""
+    part, q = np.nonzero(counts.T)
+    cols = (wids[part], keys[part], qids[q], counts[q, part])
+    return pd.DataFrame(np.column_stack(cols).astype(np.int64), columns=_OUT_COLUMNS)
 
 
 def make_kernel(spec: CompiledPlan) -> Callable[[pd.DataFrame], pd.DataFrame]:
-    """Per-partition kernel: :func:`evaluate_partition` over one
+    """Per-partition kernel: :func:`evaluate_partitions` over one
     (wid, key) group."""
 
     compiled = _segments(spec)
+    qids = np.array(list(compiled), dtype=np.int64)
+    queries = list(compiled.values())
 
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("time", kind="stable")
         codes, names = pd.factorize(pdf["type"], use_na_sentinel=False)
-        rows, _ = evaluate_partition(
-            pdf["time"].to_numpy(np.int64), codes, names, compiled
+        counts, _ = evaluate_partitions(
+            pdf["time"].to_numpy(np.int64), codes, names, None, 1, queries
         )
-        wid = int(pdf["wid"].iloc[0])
-        key = int(pdf["key"].iloc[0])
-        return pd.DataFrame(
-            [(wid, key, qid, cnt) for qid, cnt in rows], columns=_OUT_COLUMNS
+        return _rows(
+            counts, qids, pdf["wid"].to_numpy()[:1], pdf["key"].to_numpy()[:1]
         )
 
     return kernel
@@ -124,27 +117,26 @@ def run_plan_pandas(
     workload: Workload,
     plan: list[SharingCandidate] | None,
 ) -> tuple[pd.DataFrame, dict]:
-    """Driver-local twin of :func:`run_plan` over a pandas stream.
+    """Driver-local twin of :func:`run_plan` over a pandas stream: one
+    :func:`evaluate_partitions` pass over every (wid, key) partition.
 
-    Used by benchmarks that need kernel-state statistics (C-matrix bytes,
-    builds) which Spark task closures cannot report, and by the chunked
-    streaming driver. Returns (counts, stats).
+    Used by benchmarks that need kernel-state statistics (shared builds
+    by kind and their bytes, segments, partition sizes) which Spark task
+    closures cannot report, and by the chunked streaming driver. Returns
+    (counts, stats); ``stats`` adds ``partitions`` to the pass's figures.
     """
     q0 = workload[0]
-    exploded = explode_windows_pandas(
-        events, within=q0.within, slide=q0.slide
-    )
-    names, parts = split_partitions(exploded)
+    rows = partition_rows(events, within=q0.within, slide=q0.slide)
     compiled = _segments(compile_plan(workload, plan))
-    rows = []
-    stats = {"partitions": len(parts), "c_builds": 0, "c_bytes": 0}
-    for wid, key, times, codes in parts:
-        part_rows, part_stats = evaluate_partition(times, codes, names, compiled)
-        rows += [(wid, key, qid, cnt) for qid, cnt in part_rows]
-        stats["c_builds"] += part_stats["c_builds"]
-        stats["c_bytes"] += part_stats["c_bytes"]
-    counts = pd.DataFrame(rows, columns=_OUT_COLUMNS)
-    return counts, stats
+    counts, stats = evaluate_partitions(
+        rows.times, rows.codes, rows.names, rows.pids, len(rows.wids),
+        list(compiled.values()),
+    )
+    qids = np.array(list(compiled), dtype=np.int64)
+    return (
+        _rows(counts, qids, rows.wids, rows.keys),
+        {"partitions": len(rows.wids), **stats},
+    )
 
 
 def per_window_counts(counts: DataFrame) -> DataFrame:

@@ -261,3 +261,51 @@ class TestDerivedEdgesMatchPairwise:
         res = sharon_optimizer(wl, cost, decompose=decompose)
         assert res.plan == plan
         assert res.score == score
+
+
+def _resumming_reduce(graph, min_weight):
+    """Alg 2 with Score_max re-summing every weight on each call (the
+    O(V) form ``reduce_graph`` replaced); returns (free, pruned, kept)
+    keys."""
+    g = graph.copy()
+    free, pruned, free_weight = [], [], 0.0
+    changed = True
+    while changed:
+        changed = False
+        for v in list(g.vertices):
+            if g.degree(v) == 0:
+                free.append(v.key())
+                free_weight += g.weight(v)
+            elif (
+                free_weight
+                + sum(g.weights.values())
+                - sum(g.weights[k] for k in g.adj[v.key()])
+                < min_weight
+            ):
+                pruned.append(v.key())
+            else:
+                continue
+            g.remove_vertex(v)
+            changed = True
+    return free, pruned, [v.key() for v in g.vertices]
+
+
+class TestReduceRunningTotal:
+    """``reduce_graph`` sums the graph's weights once per removal, not
+    once per Score_max call; its decisions must not change."""
+
+    # fig4 prunes and extracts; shared_core keeps every vertex, so each
+    # of its Score_max comparisons must still come out the same.
+    @pytest.mark.parametrize("case", ["fig4", "shared_core", "repeated_types"])
+    @pytest.mark.parametrize("expanded", [False, True])
+    def test_same_pruned_and_conflict_free(self, case, expanded):
+        _, cost, g = DIFF_CASES[case]()
+        if expanded:
+            g = expand_graph(g, cost)
+        bound = guaranteed_weight(g)
+        red = reduce_graph(g, bound)
+        free, pruned, kept = _resumming_reduce(g, bound)
+        assert [v.key() for v in red.conflict_free] == free
+        assert [v.key() for v in red.pruned] == pruned
+        assert [v.key() for v in red.graph.vertices] == kept
+        assert bool(red.pruned or red.conflict_free) == (case != "shared_core")

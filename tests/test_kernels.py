@@ -12,13 +12,38 @@ from repro.runtime.kernels import (
     SharedCache,
     TypeIndex,
     brute_force_count,
-    c_matrix,
-    chain_counts,
     compile_segments,
-    count_pattern,
     eval_query,
+    evaluate_partitions,
     strict_prev_cumsum,
 )
+
+
+def count_pattern(times, types, pattern):
+    """COUNT(*) of ``pattern`` in one partition — the Non-Shared method."""
+    return eval_query(times, types, [Segment(pattern, shared=False)])
+
+
+def chain_counts(times, types, pattern):
+    """Completion counts of ``pattern`` at each event of one partition
+    (nonzero only at events of the last type): its forward chain."""
+    cache = SharedCache(times, types)
+    out = np.zeros(len(times), dtype=np.int64)
+    out[cache.index.positions_of(pattern[-1])] = cache.get_forward(pattern)
+    return out
+
+
+def c_matrix(times, types, pattern):
+    """One partition's C-matrix as (start positions, end positions,
+    dense C[s, e])."""
+    cache = SharedCache(times, types)
+    blocks = cache.get(pattern)
+    starts = cache.index.positions_of(pattern[0])
+    ends = cache.index.positions_of(pattern[-1])
+    c = np.zeros((len(starts), len(ends)), dtype=np.int64)
+    col = np.repeat(np.arange(len(ends)), np.diff(blocks.cols))
+    c[blocks.rows, col] = blocks.vals
+    return starts, ends, c
 
 
 def stream(*events):
@@ -267,3 +292,118 @@ class TestEdgeCases:
         cache = SharedCache(times, types)
         segs = [Segment(("C", "D"), True)]
         assert eval_query(times, types, segs, cache) == 0.0
+
+
+LONG = tuple(f"T{j}" for j in range(10))
+
+
+def blocks(order, per_type, t0=0):
+    """``per_type`` events of each type of ``order``, one block of
+    distinct times per type, blocks in that order."""
+    times = np.arange(t0, t0 + per_type * len(order), dtype=np.int64)
+    types = np.repeat(np.array(order), per_type)
+    return times, types
+
+
+class TestExactCounts:
+    """Counts are exact int64; counts that cannot be must not wrap."""
+
+    def test_beyond_float64_is_exact(self):
+        # 41^10 is odd and above 2^53: no float64 holds it.
+        times, types = blocks(LONG, 41)
+        want = 41**10
+        assert want == 13_422_659_310_152_401 and want > 2**53
+        assert brute_force_count(times, types, LONG, exact=True) == want
+        assert eval_query(times, types, [Segment(LONG, False)]) == want
+        segs = compile_segments(LONG, [LONG[3:7]])  # mid-query C-matrix
+        assert eval_query(times, types, segs) == want
+
+    def test_huge_bound_small_count_takes_python_ints(self):
+        # Each type's block lies after the next type's, then one event
+        # of each type in pattern order: a sequence takes any T0 (80 in
+        # the block and the tail's one), then the tail's T1..T9. The
+        # size bound 81^10 is above 2^63.
+        times, types = blocks(LONG[::-1], 80)
+        tail_t, tail_ty = blocks(LONG, 1, t0=len(times))
+        times, types = np.r_[times, tail_t], np.r_[types, tail_ty]
+        assert 81.0**10 > 2.0**63
+        small_t, small_ty = blocks(LONG, 2, t0=0)
+        all_t = np.r_[small_t, times]
+        all_ty = np.r_[small_ty, types]
+        pids = np.r_[np.zeros(len(small_t), int), np.ones(len(times), int)]
+        names = list(LONG)
+        codes = np.searchsorted(names, all_ty)
+        counts, stats = evaluate_partitions(
+            all_t, codes, names, pids, 2, [[Segment(LONG, False)]]
+        )
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [[2**10, 81]]
+        assert stats["exact_fallback_partitions"] == 1
+        assert eval_query(times, types, [Segment(LONG, False)]) == 81
+
+    @pytest.mark.parametrize("shared", [[], [LONG[:4]], [LONG[6:]], [LONG[2:5]]])
+    def test_count_beyond_int64_raises(self, shared):
+        # 90^10 > 2^63: the count does not fit the int64 column.
+        times, types = blocks(LONG, 90)
+        with pytest.raises(OverflowError):
+            eval_query(times, types, compile_segments(LONG, shared))
+
+
+# Queries covering every evaluation path: private chains (one with a
+# repeated type), a shared prefix (forward build), shared suffixes
+# (reverse build, one behind a repeated type) and mid-query C-matrices.
+PROPERTY_QUERIES = [
+    (("A", "B", "C"), []),
+    (("A", "A"), []),
+    (("C",), []),
+    (("A", "B", "C", "D"), [("B", "C")]),
+    (("B", "C", "D", "A"), [("C", "D")]),
+    (("A", "B", "C"), [("A", "B")]),
+    (("D", "A", "B"), [("A", "B")]),
+    (("A", "A", "B"), [("A", "B")]),
+    (("A", "B", "C", "D"), [("A", "B"), ("C", "D")]),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.integers(0, 12), st.integers(0, 4), st.sampled_from("ABCD")
+        ),
+        max_size=40,
+    ),
+    extra_parts=st.integers(0, 2),
+)
+def test_one_pass_equals_per_partition_and_brute_force(data, extra_parts):
+    """Many partitions (some empty, some missing types, tied times) in
+    one pass equal one-partition passes and the brute-force oracle."""
+    n_parts = 5 + extra_parts  # partitions 5.. are always empty
+    data = sorted(data, key=lambda e: e[0])  # time order, partitions mixed
+    times = np.array([t for t, _, _ in data], dtype=np.int64)
+    pids = np.array([p for _, p, _ in data], dtype=np.int64)
+    types = np.array([ty for _, _, ty in data], dtype="U1")
+    names = ["D", "C", "B", "A"]
+    codes = np.array([names.index(t) for t in types], dtype=np.int64)
+    queries = [compile_segments(q, shared) for q, shared in PROPERTY_QUERIES]
+    counts, stats = evaluate_partitions(
+        times, codes, names, pids, n_parts, queries
+    )
+    assert counts.shape == (len(queries), n_parts)
+    for p in range(n_parts):
+        rows = pids == p
+        one, _ = evaluate_partitions(
+            times[rows], codes[rows], names, None, 1, queries
+        )
+        assert counts[:, p].tolist() == one[:, 0].tolist()
+        for i, (q, _) in enumerate(PROPERTY_QUERIES):
+            assert counts[i, p] == brute_force_count(
+                times[rows], types[rows], q, exact=True
+            )
+    # Each shared aggregate is built once per pass, whatever the
+    # number of partitions.
+    assert (
+        stats["builds_forward"], stats["builds_reverse"], stats["builds_cmatrix"]
+    ) == (1, 2, 2)
+    assert stats["c_builds"] == 5
+    assert stats["segments"] == sum(len(s) for s in queries)

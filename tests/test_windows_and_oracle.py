@@ -11,6 +11,7 @@ from repro.runtime.windows import (
     explode_windows,
     explode_windows_pandas,
     n_windows,
+    partition_rows,
     split_partitions,
 )
 from repro.synth_data import event_stream, stream_to_spark
@@ -164,7 +165,18 @@ class TestVectorizedExplosion:
         counts, stats = run_plan_pandas(pdf, wl, None)
         assert counts.empty
         assert list(counts.columns) == ["wid", "key", "qid", "cnt"]
-        assert stats == {"partitions": 0, "c_builds": 0, "c_bytes": 0}
+        assert stats == {
+            "partitions": 0,
+            "c_builds": 0,
+            "c_bytes": 0,
+            "builds_forward": 0,
+            "builds_reverse": 0,
+            "builds_cmatrix": 0,
+            "segments": 1,
+            "max_partition_rows": 0,
+            "exact_fallback_partitions": 0,
+        }
+        assert counts["cnt"].dtype == np.int64
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_matches_groupby(self, seed):
@@ -177,6 +189,46 @@ class TestVectorizedExplosion:
         for (_, _, times, codes), (_, g) in zip(parts, groups):
             assert times.tolist() == g["time"].tolist()
             assert [names[c] for c in codes] == g["type"].tolist()
+
+
+class TestPartitionRows:
+    """The twin's partitioning equals the oracle's explosion, cut into
+    (wid, key) partitions: same partitions, rows, row order and types."""
+
+    @pytest.mark.parametrize("within,slide", [(100, 30), (30, 100), (7, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_explode_and_split(self, within, slide, seed):
+        pdf = random_stream(seed, n=300, horizon=400, n_keys=4)
+        names, parts = split_partitions(
+            explode_windows_pandas(pdf, within=within, slide=slide)
+        )
+        got = partition_rows(pdf, within=within, slide=slide)
+        assert list(zip(got.wids.tolist(), got.keys.tolist())) == [
+            (w, k) for w, k, _, _ in parts
+        ]
+        for p, (wid, _, times, codes) in enumerate(parts):
+            rows = got.pids == p
+            assert (got.times[rows] + wid * slide).tolist() == times.tolist()
+            assert [got.names[c] for c in got.codes[rows]] == [
+                names[c] for c in codes
+            ]
+            assert (got.times[rows] >= 0).all() and (got.times[rows] < within).all()
+
+    def test_partitions_in_key_order(self):
+        # Keys numbered by value, not by first appearance; most
+        # (wid, key) pairs hold no event.
+        pdf = pd.DataFrame(
+            {"time": [5, 400, 900], "key": [10**6, 3, 7], "type": list("ABA")}
+        )
+        got = partition_rows(pdf, within=100, slide=100)
+        assert got.wids.tolist() == [0, 4, 9]
+        assert got.keys.tolist() == [10**6, 3, 7]
+        assert got.pids.tolist() == [0, 1, 2]
+
+    def test_missing_type_rejected(self):
+        pdf = pd.DataFrame({"time": [1, 2], "key": [0, 0], "type": ["A", None]})
+        with pytest.raises(ValueError):
+            partition_rows(pdf, within=100, slide=50)
 
 
 class TestOracleSqlBuilder:
