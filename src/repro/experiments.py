@@ -85,12 +85,10 @@ def _per_key_sequence_estimate(
 ) -> float:
     """Expected constructed sequences across all windows and keys for a
     two-step engine (DNF guard). Per-key rates, uniform keys."""
-    total = 0.0
-    for q in wl:
-        prod = 1.0
-        for t in q.pattern:
-            prod *= rates.get(t, 0.0) / n_keys
-        total += prod / math.factorial(len(q.pattern))
+    total = sum(
+        metrics.expected_sequences(q.pattern, lambda t: rates.get(t, 0.0) / n_keys)
+        for q in wl
+    )
     return total * n_keys * _nwin()
 
 

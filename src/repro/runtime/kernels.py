@@ -61,19 +61,6 @@ import pandas as pd
 _INT64_SAFE = 2.0**63 * (1 - 2.0**-40)
 
 
-def strict_prev_cumsum(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """out[i] = sum of vals[j] over events with times[j] < times[i].
-
-    ``times`` must be sorted ascending (ties allowed).
-    """
-    cs = np.cumsum(vals)
-    idx = np.searchsorted(times, times, side="left")
-    out = np.zeros(len(vals), dtype=np.float64)
-    nz = idx > 0
-    out[nz] = cs[idx[nz] - 1]
-    return out
-
-
 def _csum0(vals: np.ndarray) -> np.ndarray:
     """Zero-padded cumulative sum: out[i] = sum of vals[:i]."""
     out = np.zeros(len(vals) + 1, dtype=vals.dtype)

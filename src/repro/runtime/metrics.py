@@ -21,6 +21,9 @@ vectors actually allocated) are returned alongside for transparency.
 """
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 from ..core.cost import CostModel
 from ..core.model import SharingCandidate, Workload
 from .sharon import compile_plan
@@ -52,21 +55,23 @@ def sharon_aggregates(
     return total
 
 
+def expected_sequences(pattern: tuple[str, ...], rate: Callable[[str], float]) -> float:
+    """Expected matches of ``pattern`` among events that arrive at
+    ``rate(type)`` per window in uniformly random order: prod(rate) / l!,
+    the l! orderings of l chosen events of which one matches."""
+    seqs = 1.0
+    for t in pattern:
+        seqs *= rate(t)
+    return seqs / math.factorial(len(pattern))
+
+
 def twostep_sequences(workload: Workload, cost: CostModel) -> float:
     """Modeled stored-sequence volume for a two-step engine: expected
     number of constructed sequences per query per window, times pattern
-    length (each stored sequence keeps one ref per event). Uniform-rate
-    estimate: prod(Rate(Ej)) / l! ordering factor."""
-    import math
-
-    total = 0.0
-    for q in workload:
-        seqs = 1.0
-        for t in q.pattern:
-            seqs *= cost.rate(t)
-        seqs /= math.factorial(len(q.pattern))
-        total += seqs * len(q.pattern)
-    return total
+    length (each stored sequence keeps one ref per event)."""
+    return sum(
+        expected_sequences(q.pattern, cost.rate) * len(q.pattern) for q in workload
+    )
 
 
 def aggregates_to_bytes(n_aggregates: float) -> float:

@@ -1,73 +1,36 @@
-"""Micro-batch streaming driver with cross-batch state (DESIGN.md §2).
+"""Micro-batch streaming driver over the twin's one-pass core (DESIGN.md §2).
 
-The paper's executors are *online*: an event updates running aggregates
-and is discarded. This module proves that property for the reproduction:
-the stream is consumed in time-ordered chunks and, per ``(window, key,
-query)``, only A-Seq's ``l`` running prefix counts (Figure 6) are
-carried between chunks — chunked results are bit-identical to one-shot
-evaluation (tested). Windows close once the stream time passes their
-end, emitting final counts incrementally, which is the foreachBatch
-semantics a Structured Streaming deployment would use.
+The paper's executors are *online*: counts per window and key are final
+once the stream passes the window's end, and events no open window uses
+are discarded. This driver keeps that contract with the batch core
+itself, :func:`sharon.run_plan_pandas`: it holds the events that still
+belong to an open window, and after each batch counts the windows the
+stream has just passed in one pass over those events, emits them and
+evicts the events that only closed windows used. Its state is therefore
+the events of less than one WITHIN span, whatever the stream length, and
+its counts are the core's exact int64 counts — chunked results are
+identical to one-shot evaluation (tested).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 
 from ..core.model import Workload
-from .kernels import strict_prev_cumsum
-from .windows import explode_windows_pandas, split_partitions
-
-
-@dataclass
-class ChainState:
-    """Per-(wid, key, query) carry: cumulative completion totals per
-    pattern-prefix length — exactly the counts of the paper's Figure 6,
-    totalled over all START events seen so far. ``pattern`` is encoded
-    like the types fed to :meth:`update` (names, or int codes)."""
-
-    pattern: tuple
-    carry: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.carry is None:
-            self.carry = np.zeros(len(self.pattern), dtype=np.float64)
-
-    def update(self, times: np.ndarray, types: np.ndarray) -> None:
-        """Fold one chunk (all strictly later than prior chunks) into the
-        carry. Level j's within-chunk values see the pre-chunk carry of
-        level j-1 plus the intra-chunk strictly-earlier sums."""
-        vals = np.where(types == self.pattern[0], 1.0, 0.0)
-        new_carry = self.carry.copy()
-        new_carry[0] += vals.sum()
-        for j in range(1, len(self.pattern)):
-            prev = self.carry[j - 1] + strict_prev_cumsum(times, vals)
-            vals = np.where(types == self.pattern[j], prev, 0.0)
-            new_carry[j] += vals.sum()
-        self.carry = new_carry
-
-    @property
-    def count(self) -> float:
-        return float(self.carry[-1])
+from .sharon import run_plan_pandas
 
 
 class MicroBatchExecutor:
-    """Feeds chunks of a (time-sorted) event stream through per-partition
-    chain states; ``results()`` returns (wid, key, qid, cnt) like the
-    batch engines."""
+    """Feeds chunks of a (time-sorted) event stream through the A-Seq
+    core; ``results()`` returns (wid, key, qid, cnt) like the batch
+    engines."""
 
     def __init__(self, workload: Workload):
         self.workload = workload
-        self.states: dict[tuple[int, int, int], ChainState] = {}
+        self._held: list[pd.DataFrame] = []  # events of the open windows
+        self._emitted: list[pd.DataFrame] = []  # counts of closed windows
+        self._open = 0  # first window not yet emitted
         self._last_time = -1
-        # Chain states see types as fixed int codes, the same in every
-        # batch; -1 marks a type no query uses.
-        self._code_of = {t: c for c, t in enumerate(sorted(workload.event_types))}
-        self._patterns = {
-            q.qid: tuple(self._code_of[t] for t in q.pattern) for q in workload
-        }
 
     def process_batch(self, batch: pd.DataFrame) -> None:
         if batch.empty:
@@ -80,33 +43,36 @@ class MicroBatchExecutor:
                 "(ties must stay within one batch for strict-time semantics)"
             )
         self._last_time = int(batch["time"].max())
+        self._held.append(batch)
         q0 = self.workload[0]
-        exploded = explode_windows_pandas(
-            batch, within=q0.within, slide=q0.slide
-        )
-        names, parts = split_partitions(exploded)
-        recode = np.array([self._code_of.get(n, -1) for n in names], dtype=int)
-        for wid, key, times, codes in parts:
-            codes = recode[codes]
-            for q in self.workload:
-                k = (wid, key, q.qid)
-                if k not in self.states:
-                    self.states[k] = ChainState(self._patterns[q.qid])
-                self.states[k].update(times, codes)
+        # Window w ends at w * slide + within - 1; later events cannot
+        # fall in it once the stream has passed that time.
+        closed = (self._last_time - q0.within + 1) // q0.slide + 1
+        if closed <= self._open:
+            return
+        held = pd.concat(self._held)
+        self._emitted.append(self._counts(held, stop=closed))
+        self._held = [held[held["time"].to_numpy() >= closed * q0.slide]]
+        self._open = closed
+
+    def _counts(self, held: pd.DataFrame, stop: float = np.inf) -> pd.DataFrame:
+        """Counts of windows ``open <= wid < stop`` over the held events."""
+        counts, _ = run_plan_pandas(held, self.workload, None)
+        wid = counts["wid"].to_numpy()
+        return counts[(wid >= self._open) & (wid < stop)]
 
     def results(self) -> pd.DataFrame:
-        rows = [
-            (wid, key, qid, st.count)
-            for (wid, key, qid), st in sorted(self.states.items())
-            if st.count > 0
-        ]
-        return pd.DataFrame(rows, columns=["wid", "key", "qid", "cnt"])
+        """Emitted counts plus the current counts of the open windows.
+        Changes no state."""
+        if not self._held:
+            return pd.DataFrame(columns=["wid", "key", "qid", "cnt"], dtype=np.int64)
+        open_counts = self._counts(pd.concat(self._held))
+        return pd.concat([*self._emitted, open_counts], ignore_index=True)
 
     @property
     def n_state_counters(self) -> int:
-        """Online memory footprint: total carried counters (the paper's
-        'aggregates maintained')."""
-        return sum(len(st.carry) for st in self.states.values())
+        """Online memory footprint: the events held for open windows."""
+        return sum(len(b) for b in self._held)
 
 
 def time_chunks(events: pd.DataFrame, n_chunks: int):

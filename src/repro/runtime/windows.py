@@ -107,30 +107,6 @@ def partition_rows(
     )
 
 
-def split_partitions(
-    exploded: pd.DataFrame,
-) -> tuple[list[str], list[tuple[int, int, np.ndarray, np.ndarray]]]:
-    """Cut an exploded stream (ordered by wid, key, time, as
-    :func:`explode_windows_pandas` returns it) into its ``(wid, key)``
-    partitions in one pass.
-
-    Event types are encoded to int codes once for the whole stream.
-    Returns ``(names, parts)``: ``names[code]`` is a type's name and each
-    part is ``(wid, key, times, codes)`` with slices of the global
-    arrays, in (wid, key) order."""
-    wid = exploded["wid"].to_numpy()
-    key = exploded["key"].to_numpy()
-    times = exploded["time"].to_numpy(np.int64)
-    codes, uniques = pd.factorize(exploded["type"], use_na_sentinel=False)
-    cuts = np.flatnonzero((wid[1:] != wid[:-1]) | (key[1:] != key[:-1])) + 1
-    bounds = np.r_[0, cuts, len(wid)] if len(wid) else np.zeros(1, dtype=int)
-    parts = [
-        (int(wid[a]), int(key[a]), times[a:b], codes[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    return [str(n) for n in uniques], parts
-
-
 def n_windows(duration: int, *, within: int, slide: int) -> int:
     """Number of windows that overlap [0, duration)."""
     return max(0, (duration - 1) // slide + 1)

@@ -15,7 +15,6 @@ from repro.runtime.kernels import (
     compile_segments,
     eval_query,
     evaluate_partitions,
-    strict_prev_cumsum,
 )
 
 
@@ -52,23 +51,6 @@ def stream(*events):
     types = np.array([ty for _, ty in events], dtype="U8")
     order = np.argsort(times, kind="stable")
     return times[order], types[order]
-
-
-class TestStrictPrevCumsum:
-    def test_simple(self):
-        t = np.array([1, 2, 3], dtype=np.int64)
-        v = np.array([1.0, 2.0, 4.0])
-        assert strict_prev_cumsum(t, v).tolist() == [0.0, 1.0, 3.0]
-
-    def test_ties_excluded(self):
-        t = np.array([1, 1, 2, 2], dtype=np.int64)
-        v = np.ones(4)
-        assert strict_prev_cumsum(t, v).tolist() == [0.0, 0.0, 2.0, 2.0]
-
-    def test_empty(self):
-        assert strict_prev_cumsum(
-            np.array([], dtype=np.int64), np.array([])
-        ).size == 0
 
 
 class TestPaperFigure6:

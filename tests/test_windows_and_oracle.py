@@ -12,7 +12,6 @@ from repro.runtime.windows import (
     explode_windows_pandas,
     n_windows,
     partition_rows,
-    split_partitions,
 )
 from repro.synth_data import event_stream, stream_to_spark
 
@@ -178,18 +177,6 @@ class TestVectorizedExplosion:
         }
         assert counts["cnt"].dtype == np.int64
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_split_matches_groupby(self, seed):
-        exploded = explode_windows_pandas(
-            random_stream(seed, n=300, horizon=400), within=100, slide=30
-        )
-        names, parts = split_partitions(exploded)
-        groups = list(exploded.groupby(["wid", "key"], sort=True))
-        assert [(w, k) for w, k, _, _ in parts] == [wk for wk, _ in groups]
-        for (_, _, times, codes), (_, g) in zip(parts, groups):
-            assert times.tolist() == g["time"].tolist()
-            assert [names[c] for c in codes] == g["type"].tolist()
-
 
 class TestPartitionRows:
     """The twin's partitioning equals the oracle's explosion, cut into
@@ -199,19 +186,19 @@ class TestPartitionRows:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_explode_and_split(self, within, slide, seed):
         pdf = random_stream(seed, n=300, horizon=400, n_keys=4)
-        names, parts = split_partitions(
-            explode_windows_pandas(pdf, within=within, slide=slide)
+        groups = list(
+            explode_windows_pandas(pdf, within=within, slide=slide).groupby(
+                ["wid", "key"], sort=True
+            )
         )
         got = partition_rows(pdf, within=within, slide=slide)
         assert list(zip(got.wids.tolist(), got.keys.tolist())) == [
-            (w, k) for w, k, _, _ in parts
+            wk for wk, _ in groups
         ]
-        for p, (wid, _, times, codes) in enumerate(parts):
+        for p, ((wid, _), g) in enumerate(groups):
             rows = got.pids == p
-            assert (got.times[rows] + wid * slide).tolist() == times.tolist()
-            assert [got.names[c] for c in got.codes[rows]] == [
-                names[c] for c in codes
-            ]
+            assert (got.times[rows] + wid * slide).tolist() == g["time"].tolist()
+            assert [got.names[c] for c in got.codes[rows]] == g["type"].tolist()
             assert (got.times[rows] >= 0).all() and (got.times[rows] < within).all()
 
     def test_partitions_in_key_order(self):

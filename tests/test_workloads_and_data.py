@@ -1,6 +1,10 @@
 """Workload generators, stream generators and the modeled memory
 metrics that back the evaluation sweeps."""
+import math
+
 import pytest
+
+from repro import experiments
 
 from repro.core.ccspan import sharable_patterns
 from repro.core.cost import CostModel, uniform_rates
@@ -133,3 +137,43 @@ class TestMemoryModel:
 
     def test_aggregates_to_bytes(self):
         assert metrics.aggregates_to_bytes(10) == 80
+
+
+class TestSequenceEstimate:
+    """Both sequence-count estimates share one prod(rate) / l! helper;
+    their figures, and so Fig 13's DNF decisions, must not move."""
+
+    @pytest.mark.parametrize("evw", [500, 8000])
+    def test_callers_unchanged_on_fig13(self, evw):
+        n_keys = 8
+        wl = shared_core_workload(
+            n_queries=6,
+            pattern_len=4,
+            family_size=3,
+            core_frac=0.5,
+            within=experiments.WITHIN,
+            slide=experiments.SLIDE,
+        )
+        pdf = experiments._stream(wl, evw, n_keys=n_keys, seed=0, ramp=True)
+        rates = rates_from_stream(
+            pdf, within=experiments.WITHIN, duration=experiments.DURATION
+        )
+        cost = CostModel(wl, rates)
+        # Each caller's formula as it was written out before the helper.
+        per_key = 0.0
+        for q in wl:
+            prod = 1.0
+            for t in q.pattern:
+                prod *= rates.get(t, 0.0) / n_keys
+            per_key += prod / math.factorial(len(q.pattern))
+        stored = 0.0
+        for q in wl:
+            seqs = 1.0
+            for t in q.pattern:
+                seqs *= cost.rate(t)
+            seqs /= math.factorial(len(q.pattern))
+            stored += seqs * len(q.pattern)
+        assert experiments._per_key_sequence_estimate(
+            wl, rates, n_keys
+        ) == per_key * n_keys * experiments._nwin()
+        assert metrics.twostep_sequences(wl, cost) == stored
