@@ -25,15 +25,15 @@ def chain_counts_sql(exploded: DataFrame, pattern: tuple[str, ...]) -> DataFrame
         .rangeBetween(Window.unboundedPreceding, -1)
     )
     df = exploded.withColumn(
-        "v0", F.when(F.col("type") == pattern[0], F.lit(1.0)).otherwise(F.lit(0.0))
+        "v0", F.when(F.col("type") == pattern[0], F.lit(1)).otherwise(F.lit(0))
     )
     for j, t in enumerate(pattern[1:], start=1):
         df = df.withColumn(
             f"v{j}",
             F.when(
                 F.col("type") == t,
-                F.coalesce(F.sum(f"v{j-1}").over(w), F.lit(0.0)),
-            ).otherwise(F.lit(0.0)),
+                F.coalesce(F.sum(f"v{j-1}").over(w), F.lit(0)),
+            ).otherwise(F.lit(0)),
         )
     last = f"v{len(pattern) - 1}"
     return (

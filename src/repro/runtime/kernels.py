@@ -155,12 +155,6 @@ class TypeIndex:
             )
         return entry
 
-    def times_of(self, t: str) -> np.ndarray:
-        return self.times[self.of(t).pos]
-
-    def positions_of(self, t: str) -> np.ndarray:
-        return self.of(t).pos
-
     def size_bound(self, pattern: Sequence[str]) -> np.ndarray:
         """Per partition: the product of the pattern's per-type event
         counts, an upper bound on its sequence count (float64)."""
@@ -352,8 +346,7 @@ class SharedCache:
         )
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One piece of a query's compiled evaluation: a contiguous
     sub-pattern, either evaluated privately (chain) or looked up in the
     shared-pattern cache (C-matrix combination)."""

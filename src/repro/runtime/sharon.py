@@ -1,24 +1,23 @@
 """The Sharon runtime executor (paper Sections 2.2 and 3.3) as a
 distributed dataflow.
 
-``compile_plan`` turns a workload + sharing plan into a per-query
-segment spec (the "compiled sharing graph"); ``run_plan`` explodes the
-stream into sliding windows, partitions by ``(wid, key)`` — the
-``WHERE [vehicle]`` predicate makes partitions independent — and runs
-the kernels' one-pass core, :func:`kernels.evaluate_partitions`, on each
-partition via ``applyInPandas``. The driver-local twin
-(:func:`run_plan_pandas`) runs the same core once over all partitions.
-Every shared pattern's aggregate is built once per call and reused by
-all queries sharing it; residual prefix/suffix segments run per query.
-Counts are exact int64 (``cnt long``); a count of 2^63 or more raises
-OverflowError (see :mod:`kernels`).
+``compile_plan`` turns a workload + sharing plan into per-query segments
+(the "compiled sharing graph"). :func:`run_plan_pandas` counts a pandas
+stream: it explodes the stream into sliding windows, cuts the ``(wid,
+key)`` partitions and runs the kernels' one-pass core,
+:func:`kernels.evaluate_partitions`, once over all of them. Every shared
+pattern's aggregate is built once per call and reused by all queries
+sharing it; residual prefix/suffix segments run per query. ``run_plan``
+is the same routine on Spark: the ``WHERE [key]`` predicate makes keys
+independent, so the raw events are shuffled by ``key`` and each task
+runs :func:`run_plan_pandas` on the whole keys it owns, through
+``mapInPandas``. Counts are exact int64 (``cnt long``); a count of 2^63
+or more raises OverflowError (see :mod:`kernels`).
 
 A true JVM physical operator is out of scope offline (DESIGN.md §2);
-``applyInPandas`` over Catalyst's shuffle is the documented substitute.
+``mapInPandas`` over Catalyst's shuffle is the documented substitute.
 """
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -27,19 +26,15 @@ from pyspark.sql import functions as F
 
 from ..core.model import SharingCandidate, Workload
 from .kernels import Segment, compile_segments, evaluate_partitions
-from .windows import explode_windows, partition_rows
+from .windows import partition_rows
 
 _OUT_SCHEMA = "wid long, key long, qid long, cnt long"
 _OUT_COLUMNS = ["wid", "key", "qid", "cnt"]
 
-# A compiled plan is plain data (picklable into Spark task closures):
-# qid -> list of (pattern, shared) segment tuples.
-CompiledPlan = dict[int, list[tuple[tuple[str, ...], bool]]]
-
 
 def compile_plan(
     workload: Workload, plan: list[SharingCandidate] | None
-) -> CompiledPlan:
+) -> dict[int, list[Segment]]:
     """Assign each query its plan-shared patterns and segment it.
 
     ``plan=None`` or an empty plan compiles every query as one private
@@ -48,18 +43,7 @@ def compile_plan(
     for cand in plan or []:
         for qid in cand.qids:
             shared_of[qid].append(cand.p)
-    spec: CompiledPlan = {}
-    for q in workload:
-        segs = compile_segments(q.pattern, shared_of[q.qid])
-        spec[q.qid] = [(s.pattern, s.shared) for s in segs]
-    return spec
-
-
-def _segments(spec: CompiledPlan) -> dict[int, list[Segment]]:
-    return {
-        qid: [Segment(p, shared) for p, shared in seg_spec]
-        for qid, seg_spec in spec.items()
-    }
+    return {q.qid: compile_segments(q.pattern, shared_of[q.qid]) for q in workload}
 
 
 def _rows(
@@ -72,44 +56,24 @@ def _rows(
     return pd.DataFrame(np.column_stack(cols).astype(np.int64), columns=_OUT_COLUMNS)
 
 
-def make_kernel(spec: CompiledPlan) -> Callable[[pd.DataFrame], pd.DataFrame]:
-    """Per-partition kernel: :func:`evaluate_partitions` over one
-    (wid, key) group."""
-
-    compiled = _segments(spec)
-    qids = np.array(list(compiled), dtype=np.int64)
-    queries = list(compiled.values())
-
-    def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("time", kind="stable")
-        codes, names = pd.factorize(pdf["type"], use_na_sentinel=False)
-        counts, _ = evaluate_partitions(
-            pdf["time"].to_numpy(np.int64), codes, names, None, 1, queries
-        )
-        return _rows(
-            counts, qids, pdf["wid"].to_numpy()[:1], pdf["key"].to_numpy()[:1]
-        )
-
-    return kernel
-
-
 def run_plan(
     events: DataFrame,
     workload: Workload,
     plan: list[SharingCandidate] | None,
 ) -> DataFrame:
-    """COUNT(*) per (window, key, query) for the whole workload.
+    """COUNT(*) per (window, key, query) for the whole workload: each
+    task runs :func:`run_plan_pandas` over the keys the shuffle gives it.
 
     All queries share (within, slide) — the paper's assumption 2 — so
-    the window explosion happens once for the workload.
+    each task explodes its events into windows once for the workload.
     """
-    q0 = workload[0]
-    exploded = explode_windows(events, within=q0.within, slide=q0.slide)
-    spec = compile_plan(workload, plan)
-    return (
-        exploded.groupBy("wid", "key")
-        .applyInPandas(make_kernel(spec), schema=_OUT_SCHEMA)
-    )
+
+    def task(batches):
+        frames = list(batches)
+        if frames:
+            yield run_plan_pandas(pd.concat(frames), workload, plan)[0]
+
+    return events.repartition("key").mapInPandas(task, schema=_OUT_SCHEMA)
 
 
 def run_plan_pandas(
@@ -117,17 +81,19 @@ def run_plan_pandas(
     workload: Workload,
     plan: list[SharingCandidate] | None,
 ) -> tuple[pd.DataFrame, dict]:
-    """Driver-local twin of :func:`run_plan` over a pandas stream: one
+    """COUNT(*) per (window, key, query) over a pandas stream: one
     :func:`evaluate_partitions` pass over every (wid, key) partition.
 
-    Used by benchmarks that need kernel-state statistics (shared builds
-    by kind and their bytes, segments, partition sizes) which Spark task
-    closures cannot report, and by the chunked streaming driver. Returns
-    (counts, stats); ``stats`` adds ``partitions`` to the pass's figures.
+    The events need not be in time order. This is the one evaluation
+    routine: :func:`run_plan` runs it per Spark task and the streaming
+    driver per batch; benchmarks call it directly for the pass's
+    kernel-state statistics (shared builds by kind and their bytes,
+    segments, partition sizes). Returns (counts, stats); ``stats`` adds
+    ``partitions`` to the pass's figures.
     """
     q0 = workload[0]
     rows = partition_rows(events, within=q0.within, slide=q0.slide)
-    compiled = _segments(compile_plan(workload, plan))
+    compiled = compile_plan(workload, plan)
     counts, stats = evaluate_partitions(
         rows.times, rows.codes, rows.names, rows.pids, len(rows.wids),
         list(compiled.values()),

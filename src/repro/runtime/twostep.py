@@ -50,7 +50,7 @@ def flink_like(events: DataFrame, workload: Workload) -> DataFrame:
         cnt = (
             construct_sequences(exploded, q.pattern)
             .groupBy("wid", "key")
-            .agg(F.count(F.lit(1)).cast("double").alias("cnt"))
+            .agg(F.count(F.lit(1)).alias("cnt"))
             .select(F.lit(q.qid).alias("qid"), "wid", "key", "cnt")
         )
         out = cnt if out is None else out.unionByName(cnt)
@@ -65,7 +65,7 @@ def counted_matches(exploded: DataFrame, pattern: tuple[str, ...]) -> DataFrame:
         "key",
         F.col("time").alias("ts"),
         F.col("time").alias("te"),
-        F.lit(1.0).alias("cnt"),
+        F.lit(1).alias("cnt"),
     )
     for t in pattern[1:]:
         ej = exploded.where(F.col("type") == t).select(

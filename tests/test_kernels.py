@@ -28,7 +28,7 @@ def chain_counts(times, types, pattern):
     (nonzero only at events of the last type): its forward chain."""
     cache = SharedCache(times, types)
     out = np.zeros(len(times), dtype=np.int64)
-    out[cache.index.positions_of(pattern[-1])] = cache.get_forward(pattern)
+    out[cache.index.of(pattern[-1]).pos] = cache.get_forward(pattern)
     return out
 
 
@@ -37,8 +37,8 @@ def c_matrix(times, types, pattern):
     dense C[s, e])."""
     cache = SharedCache(times, types)
     blocks = cache.get(pattern)
-    starts = cache.index.positions_of(pattern[0])
-    ends = cache.index.positions_of(pattern[-1])
+    starts = cache.index.of(pattern[0]).pos
+    ends = cache.index.of(pattern[-1]).pos
     c = np.zeros((len(starts), len(ends)), dtype=np.int64)
     col = np.repeat(np.arange(len(ends)), np.diff(blocks.cols))
     c[blocks.rows, col] = blocks.vals
@@ -232,10 +232,11 @@ class TestIntCodedTypes:
         by_name = TypeIndex(times, types)
         by_code = TypeIndex(times, codes, names)
         for t in names:
-            assert by_code.times_of(t).tolist() == by_name.times_of(t).tolist()
+            code_pos, name_pos = by_code.of(t).pos, by_name.of(t).pos
+            assert by_code.times[code_pos].tolist() == by_name.times[name_pos].tolist()
             assert (
-                by_code.positions_of(t).tolist()
-                == by_name.positions_of(t).tolist()
+                code_pos.tolist()
+                == name_pos.tolist()
                 == np.flatnonzero(types == t).tolist()
             )
 
