@@ -8,7 +8,6 @@ from repro.core.cost import CostModel
 from repro.core.optimizer import sharon_optimizer
 from repro.runtime.sharon import run_plan
 from repro.runtime.twostep import flink_like, spass_like
-from repro.synth_data import stream_to_spark
 from repro.workloads import rates_from_stream, shared_core_workload
 
 EVW = 1000
@@ -24,7 +23,7 @@ def setup(spark):
         within=WITHIN, slide=SLIDE,
     )
     pdf = _stream(wl, EVW, n_keys=8, seed=0, ramp=True)
-    sdf = stream_to_spark(spark, pdf).cache()
+    sdf = spark.createDataFrame(pdf).cache()
     sdf.count()
     cost = CostModel(wl, rates_from_stream(pdf, within=WITHIN, duration=DURATION))
     plan = sharon_optimizer(wl, cost, decompose=True).plan

@@ -6,18 +6,15 @@ import pytest
 from repro.core.cost import CostModel
 from repro.core.optimizer import sharon_optimizer
 from repro.runtime.sharon import run_plan_pandas
-from repro.workloads import rates_from_stream, shared_core_workload
+from repro.workloads import rates_from_stream
 
-WITHIN, SLIDE, DURATION = 600, 300, 3600
+WITHIN, DURATION = 600, 3600
 
 
 def _setup(n_queries, evw=10000, plen=10, seed=1):
-    from repro.experiments import _stream
+    from repro.experiments import _stream, fig14_workload
 
-    wl = shared_core_workload(
-        n_queries=n_queries, pattern_len=plen, family_size=n_queries // 4,
-        core_frac=0.8, within=WITHIN, slide=SLIDE,
-    )
+    wl = fig14_workload(n_queries, plen)
     pdf = _stream(wl, evw, n_keys=4, seed=seed)
     cost = CostModel(wl, rates_from_stream(pdf, within=WITHIN, duration=DURATION))
     plan = sharon_optimizer(wl, cost, decompose=True).plan

@@ -9,6 +9,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def get_spark(app: str):
+    """The SparkSession of the jobs and of the test suite.
+
+    Master and driver memory come from spark-submit or
+    ``PYSPARK_SUBMIT_ARGS``, read at JVM launch. The settings here are
+    honoured after launch: 64 shuffle partitions, Arrow for pandas
+    hand-off, and no broadcast joins, so the two-step engines' joins
+    exercise the shuffle path at these small scales.
+    """
     from pyspark.sql import SparkSession
 
     return (

@@ -20,6 +20,9 @@ from .model import Pattern, Query, SharingCandidate, Workload
 
 Rates = dict[str, float]
 
+# Rate of a type the statistics do not list.
+_DEFAULT_RATE = 1.0
+
 
 def uniform_rates(types, rate: float = 10.0) -> Rates:
     """Identical per-type rate — the default used when no stream stats exist."""
@@ -32,7 +35,6 @@ class CostModel:
 
     workload: Workload
     rates: Rates
-    default_rate: float = 1.0
     _bvalue_cache: dict = field(default_factory=dict, repr=False)
     # Per-query Eq 2 and Eq 6 terms, memoized so BValues of the many
     # query-subset options of one pattern re-sum them instead of re-deriving.
@@ -40,7 +42,7 @@ class CostModel:
     _shared_memo: dict = field(default_factory=dict, repr=False)
 
     def rate(self, event_type: str) -> float:
-        return float(self.rates.get(event_type, self.default_rate))
+        return float(self.rates.get(event_type, _DEFAULT_RATE))
 
     def pattern_rate(self, p: Pattern) -> float:
         """Eq 1: Rate(P) = sum of the rates of all types in P (with multiplicity)."""
@@ -106,6 +108,3 @@ class CostModel:
         if k not in self._bvalue_cache:
             self._bvalue_cache[k] = self.non_shared(cand) - self.shared(cand)
         return self._bvalue_cache[k]
-
-    def beneficial(self, cand: SharingCandidate) -> bool:
-        return self.bvalue(cand) > 0.0

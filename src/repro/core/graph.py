@@ -17,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cost import CostModel
-from .model import Pattern, SharingCandidate, Workload
-
-
-def occurrence_ranges(query_pattern: Pattern, p: Pattern) -> list[tuple[int, int]]:
-    """All [start, end) index ranges where ``p`` occurs in ``query_pattern``."""
-    n, l = len(query_pattern), len(p)
-    return [
-        (i, i + l) for i in range(n - l + 1) if query_pattern[i : i + l] == p
-    ]
+from .model import Pattern, SharingCandidate, Workload, occurrence_ranges
 
 
 def conflicts_in_query(query_pattern: Pattern, pa: Pattern, pb: Pattern) -> bool:

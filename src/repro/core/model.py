@@ -15,9 +15,12 @@ from typing import Iterator, Sequence
 Pattern = tuple[str, ...]
 
 
-def pattern(*types: str) -> Pattern:
-    """Build a pattern from event-type names: ``pattern('A', 'B')``."""
-    return tuple(types)
+def occurrence_ranges(query_pattern: Pattern, p: Pattern) -> list[tuple[int, int]]:
+    """All [start, end) index ranges where ``p`` occurs in ``query_pattern``."""
+    n, l = len(query_pattern), len(p)
+    return [
+        (i, i + l) for i in range(n - l + 1) if query_pattern[i : i + l] == p
+    ]
 
 
 @dataclass(frozen=True)
@@ -26,15 +29,14 @@ class Query:
 
     ``qid`` is the query's position in its workload. ``within`` and
     ``slide`` are in the stream's time unit (seconds in the paper).
-    ``group_by_key`` mirrors the ``WHERE [vehicle]`` equivalence
-    predicate: all events of one sequence share the same ``key``.
+    Every executor applies the ``WHERE [key]`` equivalence predicate:
+    all events of one sequence share the same ``key``.
     """
 
     qid: int
     pattern: Pattern
     within: int = 600
     slide: int = 60
-    group_by_key: bool = True
 
     def __post_init__(self) -> None:
         if len(self.pattern) < 1:
@@ -42,20 +44,10 @@ class Query:
         if self.within <= 0 or self.slide <= 0:
             raise ValueError("within and slide must be positive")
 
-    @property
-    def length(self) -> int:
-        return len(self.pattern)
-
     def find(self, p: Pattern) -> int:
         """Leftmost start index of sub-pattern ``p`` in this query, -1 if absent."""
-        n, l = len(self.pattern), len(p)
-        for i in range(n - l + 1):
-            if self.pattern[i : i + l] == p:
-                return i
-        return -1
-
-    def contains(self, p: Pattern) -> bool:
-        return self.find(p) >= 0
+        ranges = occurrence_ranges(self.pattern, p)
+        return ranges[0][0] if ranges else -1
 
     def prefix_suffix(self, p: Pattern) -> tuple[Pattern, Pattern]:
         """Prefix and suffix of sharable pattern ``p`` in this query (Def 4)."""
@@ -124,11 +116,3 @@ class SharingCandidate:
 
     def key(self) -> tuple:
         return self._key
-
-
-SharingPlan = frozenset[SharingCandidate]
-
-
-def plan_score(plan: Sequence[SharingCandidate], bvalue) -> float:
-    """Score of a sharing plan: sum of candidate benefits (Definition 8)."""
-    return sum(bvalue(c) for c in plan)

@@ -40,6 +40,11 @@ _VERTEX_BYTES = 64
 _EDGE_BYTES = 16
 _PLAN_ENTRY_BYTES = 8
 
+# EO's guard against the 2^|V| blow-up: beyond this many expanded
+# candidates the enumeration provably cannot finish in reasonable time
+# (the paper's EO "fails to terminate for more than 20 queries").
+_EO_MAX_VERTICES = 22
+
 
 @dataclass
 class OptimizerResult:
@@ -86,23 +91,17 @@ def greedy_optimizer(workload: Workload, cost: CostModel) -> OptimizerResult:
     )
 
 
-def exhaustive_optimizer(
-    workload: Workload,
-    cost: CostModel,
-    max_vertices: int = 22,
-    max_options: int = 128,
-) -> OptimizerResult:
+def exhaustive_optimizer(workload: Workload, cost: CostModel) -> OptimizerResult:
     """EO: construction + expansion + unpruned 2^|V| subset enumeration.
 
-    ``max_vertices`` guards the 2^|V| blow-up: beyond it the enumeration
-    provably cannot finish in reasonable time (the paper's EO "fails to
-    terminate for more than 20 queries"); a ValueError marks DNF.
+    More than ``_EO_MAX_VERTICES`` expanded candidates raise a
+    ValueError, which marks DNF.
     """
     g, t_build = _construct(workload, cost)
     t0 = time.perf_counter()
-    gx = expand_graph(g, cost, max_options)
+    gx = expand_graph(g, cost)
     t_expand = time.perf_counter() - t0
-    if len(gx.vertices) > max_vertices:
+    if len(gx.vertices) > _EO_MAX_VERTICES:
         raise ValueError(
             f"exhaustive search over {len(gx.vertices)} candidates "
             f"(2^{len(gx.vertices)} plans) marked DNF"

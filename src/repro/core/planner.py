@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator
 
 from .graph import SharonGraph
 from .model import SharingCandidate
@@ -61,6 +62,15 @@ def get_next_level(
     return children
 
 
+def _levels(graph: SharonGraph) -> Iterator[list[PlanKey]]:
+    """The valid search space level by level: single candidates first,
+    then each level from the last by Algorithm 3, until one is empty."""
+    level: list[PlanKey] = sorted((v.key(),) for v in graph.vertices)
+    while level:
+        yield level
+        level = sorted(get_next_level(graph, level))
+
+
 def find_optimal_plan(
     graph: SharonGraph,
     conflict_free: list[SharingCandidate] | None = None,
@@ -74,8 +84,7 @@ def find_optimal_plan(
     by_key = {v.key(): v for v in graph.vertices}
     opt: PlanKey = ()
     best = 0.0
-    level: list[PlanKey] = sorted((v.key(),) for v in graph.vertices)
-    while level:
+    for level in _levels(graph):
         if stats is not None:
             stats.plans_per_level.append(len(level))
             stats.peak_level_plans = max(stats.peak_level_plans, len(level))
@@ -83,7 +92,6 @@ def find_optimal_plan(
             sc = _score(graph, plan)
             if sc > best:
                 opt, best = plan, sc
-        level = sorted(get_next_level(graph, level))
     plan = [by_key[k] for k in opt] + list(conflict_free)
     return plan, best
 
@@ -138,12 +146,7 @@ def find_optimal_plan_decomposed(
 def all_valid_plans(graph: SharonGraph) -> list[PlanKey]:
     """Every non-empty valid plan, via the level-wise generator. Used by
     tests to pin Example 10's valid-space size (10 plans)."""
-    plans: list[PlanKey] = []
-    level: list[PlanKey] = sorted((v.key(),) for v in graph.vertices)
-    while level:
-        plans.extend(level)
-        level = sorted(get_next_level(graph, level))
-    return plans
+    return [plan for level in _levels(graph) for plan in level]
 
 
 def exhaustive_optimal_plan(

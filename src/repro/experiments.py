@@ -112,8 +112,6 @@ def fig13_experiment(
     dies first; SPASS (shared construction, endpoint-compressed) survives
     roughly one doubling longer before its own blow-up.
     """
-    from .synth_data import stream_to_spark
-
     wl = shared_core_workload(
         n_queries=6,
         pattern_len=4,
@@ -124,13 +122,13 @@ def fig13_experiment(
     )
     # Warm Spark's codegen/shuffle machinery so the first measured
     # configuration does not absorb one-time JIT costs.
-    warm = stream_to_spark(spark, _stream(wl, 200, n_keys=2, seed=99))
+    warm = spark.createDataFrame(_stream(wl, 200, n_keys=2, seed=99))
     flink_like(warm, wl).count()
     run_plan(warm, wl, None).count()
     rows: list[dict] = []
     for evw in events_per_window:
         pdf = _stream(wl, evw, n_keys=n_keys, seed=seed, ramp=True)
-        sdf = stream_to_spark(spark, pdf).cache()
+        sdf = spark.createDataFrame(pdf).cache()
         sdf.count()
         rates = rates_from_stream(pdf, within=WITHIN, duration=DURATION)
         cost = CostModel(wl, rates)
@@ -204,17 +202,22 @@ def _fig14_point(
     return rows
 
 
-def fig14_events_sweep(
-    *, events_per_window=(5000, 10000, 20000, 40000), n_queries=20, seed=1
-) -> list[dict]:
-    wl = shared_core_workload(
+def fig14_workload(n_queries: int, pattern_len: int = 10) -> Workload:
+    """Fig 14's shared-core workload: four families of long shared suffixes."""
+    return shared_core_workload(
         n_queries=n_queries,
-        pattern_len=10,
+        pattern_len=pattern_len,
         family_size=n_queries // 4,
         core_frac=0.8,
         within=WITHIN,
         slide=SLIDE,
     )
+
+
+def fig14_events_sweep(
+    *, events_per_window=(5000, 10000, 20000, 40000), n_queries=20, seed=1
+) -> list[dict]:
+    wl = fig14_workload(n_queries)
     rows = []
     for evw in events_per_window:
         pdf = _stream(wl, evw, n_keys=4, seed=seed)
@@ -227,14 +230,7 @@ def fig14_queries_sweep(
 ) -> list[dict]:
     rows = []
     for nq in n_queries:
-        wl = shared_core_workload(
-            n_queries=nq,
-            pattern_len=10,
-            family_size=nq // 4,
-            core_frac=0.8,
-            within=WITHIN,
-            slide=SLIDE,
-        )
+        wl = fig14_workload(nq)
         pdf = _stream(wl, evw, n_keys=4, seed=seed)
         rows += _fig14_point(wl, pdf, label="n_queries", value=nq)
     return rows
@@ -245,14 +241,7 @@ def fig14_length_sweep(
 ) -> list[dict]:
     rows = []
     for plen in lengths:
-        wl = shared_core_workload(
-            n_queries=n_queries,
-            pattern_len=plen,
-            family_size=n_queries // 4,
-            core_frac=0.8,
-            within=WITHIN,
-            slide=SLIDE,
-        )
+        wl = fig14_workload(n_queries, plen)
         pdf = _stream(wl, evw, n_keys=4, seed=seed)
         rows += _fig14_point(wl, pdf, label="pattern_len", value=plen)
     return rows
@@ -262,7 +251,7 @@ def fig14_length_sweep(
 
 
 def fig15_experiment(
-    *, cluster_counts=(1, 2, 3, 4, 5), rate: float = 2.0, eo_max_vertices: int = 22
+    *, cluster_counts=(1, 2, 3, 4, 5), rate: float = 2.0
 ) -> list[dict]:
     """Optimizer latency and memory: Sharon (SO, the paper's as-printed
     finder) vs greedy (GO) vs exhaustive (EO), varying workload size
@@ -278,10 +267,7 @@ def fig15_experiment(
         for name, runner in (
             ("greedy", lambda: greedy_optimizer(wl, cost)),
             ("sharon", lambda: sharon_optimizer(wl, cost, decompose=False)),
-            (
-                "exhaustive",
-                lambda: exhaustive_optimizer(wl, cost, max_vertices=eo_max_vertices),
-            ),
+            ("exhaustive", lambda: exhaustive_optimizer(wl, cost)),
         ):
             try:
                 res = runner()

@@ -18,8 +18,9 @@ def seq_count_sql(
 ) -> str:
     """n-way self-join counting sequences per (wid, key).
 
-    Output columns: [qid,] wid, key, cnt(double) — groups with zero
-    matches produce no row, matching the engines' ``cnt > 0`` filter.
+    Output columns: [qid,] wid, key, cnt — ``cnt`` is DuckDB's BIGINT
+    ``COUNT(*)``, the engines' ``long``. Groups with zero matches produce
+    no row, as the engines emit only nonzero counts.
     """
     l = len(pattern)
     froms = ", ".join(f"{table} e{i}" for i in range(l))
@@ -29,7 +30,7 @@ def seq_count_sql(
     qid_col = f"{qid} AS qid, " if qid is not None else ""
     return (
         f"SELECT {qid_col}e0.wid AS wid, e0.key AS key, "
-        f"CAST(COUNT(*) AS DOUBLE) AS cnt "
+        f"COUNT(*) AS cnt "
         f"FROM {froms} WHERE {' AND '.join(conds)} "
         f"GROUP BY e0.wid, e0.key"
     )

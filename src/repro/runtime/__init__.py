@@ -3,12 +3,11 @@
 Four engines over one event stream, all producing per-(window, key,
 query) COUNT(*) of matched event sequences:
 
-- ``aseq``      — A-Seq: online, non-shared (chain kernel per query).
 - ``sharon``    — Sharon executor: online, shared per a sharing plan.
+                  A-Seq (online, non-shared) is the same executor with
+                  no plan: ``run_plan(events, workload, None)``.
 - ``twostep``   — Flink-like (non-shared) and SPASS-like (shared
                   construction) two-step baselines, pure Spark SQL joins.
-- ``aseq_sql``  — A-Seq expressed as chained Catalyst window functions
-                  (no Python kernel); used by oracle tests.
 
 ``windows`` assigns sliding windows, ``kernels`` holds the numpy math,
 ``streaming`` the chunked micro-batch driver, ``metrics`` the modeled

@@ -54,6 +54,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import pandas as pd
 
+from ..core.model import occurrence_ranges
+
 # Counts whose per-type size bound reaches this are recomputed in Python
 # ints. The bound is a float64 product of exact integers; each factor
 # adds at most 2^-53 relative error, so the slack keeps a float bound
@@ -367,13 +369,10 @@ def compile_segments(
     """
     spans: list[tuple[int, int, tuple[str, ...]]] = []
     for p in shared_patterns:
-        n, l = len(query_pattern), len(p)
-        pos = next(
-            (i for i in range(n - l + 1) if query_pattern[i : i + l] == p), -1
-        )
-        if pos < 0:
+        ranges = occurrence_ranges(query_pattern, p)
+        if not ranges:
             raise ValueError(f"{p} not in {query_pattern}")
-        spans.append((pos, pos + l, p))
+        spans.append((*ranges[0], p))
     spans.sort()
     for (_, e1, p1), (s2, _, p2) in zip(spans, spans[1:]):
         if s2 < e1:
@@ -481,7 +480,6 @@ def evaluate_partitions(
     partition and the partitions re-run in Python ints."""
     cache = SharedCache(times, codes, names, pids=pids, n_parts=n_parts)
     counts, exact_parts = count_queries(cache, queries)
-    sizes = np.bincount(cache.index.pids, minlength=n_parts)
     stats = {
         "c_builds": cache.builds,
         "c_bytes": cache.state_bytes,
@@ -490,7 +488,7 @@ def evaluate_partitions(
             for kind in ("forward", "reverse", "cmatrix")
         },
         "segments": sum(len(segments) for segments in queries),
-        "max_partition_rows": int(sizes.max()) if len(sizes) else 0,
+        "max_partition_rows": cache.index.n_rows_max,
         "exact_fallback_partitions": len(exact_parts),
     }
     return counts, stats

@@ -12,9 +12,9 @@ paper's own data structures:
   once (``starts(Em) * length(p)``); each query adds its prefix/suffix
   chains plus one combination count per START event pair boundary
   (Section 3.3).
-- Two-step engines additionally store every constructed event sequence
-  (``n_sequences * length`` event references) — the term that dominates
-  and explains Fig 13/14's two-orders-of-magnitude memory gaps.
+- Two-step engines additionally store every constructed event sequence.
+  Their expected count (:func:`expected_sequences`) sizes Fig 13's DNF
+  guard; no figure reports it as memory.
 
 ``kernel state bytes`` reported by the executors (C-matrix + completion
 vectors actually allocated) are returned alongside for transparency.
@@ -63,15 +63,6 @@ def expected_sequences(pattern: tuple[str, ...], rate: Callable[[str], float]) -
     for t in pattern:
         seqs *= rate(t)
     return seqs / math.factorial(len(pattern))
-
-
-def twostep_sequences(workload: Workload, cost: CostModel) -> float:
-    """Modeled stored-sequence volume for a two-step engine: expected
-    number of constructed sequences per query per window, times pattern
-    length (each stored sequence keeps one ref per event)."""
-    return sum(
-        expected_sequences(q.pattern, cost.rate) * len(q.pattern) for q in workload
-    )
 
 
 def aggregates_to_bytes(n_aggregates: float) -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from ..core.model import SharingCandidate, Workload
 from .kernels import Segment, compile_segments, evaluate_partitions
@@ -103,8 +102,3 @@ def run_plan_pandas(
         _rows(counts, qids, rows.wids, rows.keys),
         {"partitions": len(rows.wids), **stats},
     )
-
-
-def per_window_counts(counts: DataFrame) -> DataFrame:
-    """RETURN COUNT(*) per query per window (summed over group keys)."""
-    return counts.groupBy("qid", "wid").agg(F.sum("cnt").alias("cnt"))

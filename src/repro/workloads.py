@@ -8,6 +8,7 @@ import pandas as pd
 
 from .core.cost import Rates
 from .core.model import Pattern, Workload
+from .synth_data import event_stream
 
 # Figure 1: traffic monitoring workload q1-q7 (10-min window, 1-min slide).
 TRAFFIC_PATTERNS: list[tuple[str, ...]] = [
@@ -153,18 +154,12 @@ def stream_for_workload(
     n_keys: int = 8,
     duration: int = 3600,
     seed: int = 0,
-    extra_types: int = 0,
     ramp: bool = False,
 ) -> pd.DataFrame:
-    """Uniform-rate stream over exactly the workload's event types (plus
-    optional noise types no query matches)."""
-    from .synth_data import event_stream
-
-    types = sorted(workload.event_types)
-    types += [f"Noise{i:02d}" for i in range(extra_types)]
+    """Uniform-rate stream over exactly the workload's event types."""
     return event_stream(
         n_events=n_events,
-        types=types,
+        types=sorted(workload.event_types),
         n_keys=n_keys,
         duration=duration,
         seed=seed,

@@ -1,24 +1,22 @@
-"""End-to-end engine correctness on Spark: every executor (A-Seq kernel,
-Sharon shared kernel, Catalyst chain, Flink-like and SPASS-like
-two-step) must agree with the DuckDB n-way self-join oracle on the same
+"""End-to-end engine correctness on Spark: every executor (A-Seq and
+Sharon on the shared kernel, Flink-like and SPASS-like two-step) must
+agree with the DuckDB n-way self-join oracle on the same
 window-exploded stream — per (query, window, key)."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.errors import ArithmeticException, PythonException
+from pyspark.errors import PythonException
 from pyspark.sql.types import LongType
 
 from repro.core.cost import CostModel
 from repro.core.model import Workload
 from repro.core.optimizer import greedy_optimizer, sharon_optimizer
 from repro.oracle import assert_equivalent
-from repro.oracle_sql import seq_count_sql, workload_count_sql
-from repro.runtime.aseq import run_aseq
-from repro.runtime.aseq_sql import run_aseq_sql, run_query_sql
-from repro.runtime.sharon import per_window_counts, run_plan, run_plan_pandas
+from repro.oracle_sql import workload_count_sql
+from repro.runtime.sharon import run_plan, run_plan_pandas
 from repro.runtime.twostep import flink_like, spass_like
 from repro.runtime.windows import explode_windows_pandas
-from repro.synth_data import event_stream, stream_to_spark
+from repro.synth_data import event_stream
 from repro.workloads import (
     purchase_workload,
     rates_from_stream,
@@ -44,7 +42,7 @@ def traffic():
 @pytest.fixture(scope="module")
 def traffic_spark(spark, traffic):
     _, pdf = traffic
-    return stream_to_spark(spark, pdf)
+    return spark.createDataFrame(pdf)
 
 
 @pytest.fixture(scope="module")
@@ -60,20 +58,7 @@ def _wl_sql(wl: Workload) -> str:
 class TestASeqEngine:
     def test_against_oracle(self, traffic, traffic_spark, traffic_exploded):
         wl, _ = traffic
-        got = run_aseq(traffic_spark, wl).select("qid", "wid", "key", "cnt")
-        assert_equivalent(got, _wl_sql(wl), ev=traffic_exploded)
-
-    def test_single_query_catalyst_chain(
-        self, traffic, traffic_spark, traffic_exploded
-    ):
-        wl, _ = traffic
-        q = wl[0]
-        got = run_query_sql(traffic_spark, q).select("wid", "key", "cnt")
-        assert_equivalent(got, seq_count_sql(q.pattern), ev=traffic_exploded)
-
-    def test_catalyst_workload(self, traffic, traffic_spark, traffic_exploded):
-        wl, _ = traffic
-        got = run_aseq_sql(traffic_spark, wl).select("qid", "wid", "key", "cnt")
+        got = run_plan(traffic_spark, wl, None).select("qid", "wid", "key", "cnt")
         assert_equivalent(got, _wl_sql(wl), ev=traffic_exploded)
 
 
@@ -115,7 +100,7 @@ class TestSharonEngine:
         ).reset_index(drop=True)
         assert stats["c_builds"] > 0
         # Tasks sort their rows by time: a shuffled stream counts the same.
-        shuffled = stream_to_spark(spark, pdf.sample(frac=1, random_state=0))
+        shuffled = spark.createDataFrame(pdf.sample(frac=1, random_state=0))
         for events in (traffic_spark, shuffled):
             spark_res = (
                 run_plan(events, wl, optimal_plan)
@@ -150,18 +135,6 @@ class TestSharonEngine:
             want[got.columns].sort_values(cols).reset_index(drop=True),
         )
 
-    def test_per_window_counts_sums_keys(self, traffic, traffic_spark, optimal_plan):
-        wl, _ = traffic
-        counts = run_plan(traffic_spark, wl, optimal_plan)
-        per_w = per_window_counts(counts).toPandas()
-        raw = counts.toPandas()
-        expect = (
-            raw.groupby(["qid", "wid"])["cnt"].sum().reset_index()
-        )
-        merged = per_w.merge(expect, on=["qid", "wid"], suffixes=("", "_e"))
-        assert len(merged) == len(per_w) == len(expect)
-        assert (merged["cnt"] == merged["cnt_e"]).all()
-
 
 class TestTwoStepEngines:
     def test_flink_like_against_oracle(self, spark):
@@ -173,7 +146,7 @@ class TestTwoStepEngines:
             duration=300,
             seed=3,
         )
-        sdf = stream_to_spark(spark, pdf)
+        sdf = spark.createDataFrame(pdf)
         exploded = explode_windows_pandas(pdf, within=WITHIN, slide=SLIDE)
         got = flink_like(sdf, wl).select("qid", "wid", "key", "cnt")
         assert_equivalent(got, _wl_sql(wl), ev=exploded)
@@ -187,7 +160,7 @@ class TestTwoStepEngines:
             duration=300,
             seed=5,
         )
-        sdf = stream_to_spark(spark, pdf)
+        sdf = spark.createDataFrame(pdf)
         cost = CostModel(wl, rates_from_stream(pdf, within=WITHIN))
         plan = sharon_optimizer(wl, cost).plan
         exploded = explode_windows_pandas(pdf, within=WITHIN, slide=SLIDE)
@@ -203,7 +176,7 @@ class TestTwoStepEngines:
             duration=240,
             seed=8,
         )
-        sdf = stream_to_spark(spark, pdf)
+        sdf = spark.createDataFrame(pdf)
         a = (
             spass_like(sdf, wl, [])
             .toPandas()
@@ -234,7 +207,7 @@ def long_window(spark, per_type):
             "type": np.repeat(LONG, per_type).astype(object),
         }
     )
-    return wl, stream_to_spark(spark, pdf)
+    return wl, spark.createDataFrame(pdf)
 
 
 class TestExactLongCounts:
@@ -250,23 +223,10 @@ class TestExactLongCounts:
         with pytest.raises(PythonException, match="OverflowError"):
             run_plan(sdf, wl, None).collect()
 
-    def test_aseq_sql_beyond_float64_is_exact(self, spark):
-        wl, sdf = long_window(spark, 41)
-        got = [r.cnt for r in run_aseq_sql(sdf, wl).collect()]
-        assert got == [13_422_659_310_152_401] == [41**10]
-
-    def test_aseq_sql_beyond_int64_raises(self, spark):
-        wl, sdf = long_window(spark, 90)
-        with pytest.raises(ArithmeticException, match="ARITHMETIC_OVERFLOW"):
-            run_aseq_sql(sdf, wl).collect()
-
 
 ENGINES = {
-    "aseq": lambda sdf, wl, plan: run_aseq(sdf, wl),
+    "aseq": lambda sdf, wl, plan: run_plan(sdf, wl, None),
     "sharon": run_plan,
-    "per_window": lambda sdf, wl, plan: per_window_counts(run_plan(sdf, wl, plan)),
-    "aseq_sql": lambda sdf, wl, plan: run_aseq_sql(sdf, wl),
-    "query_sql": lambda sdf, wl, plan: run_query_sql(sdf, wl[0]),
     "flink_like": lambda sdf, wl, plan: flink_like(sdf, wl),
     "spass_like": spass_like,
 }

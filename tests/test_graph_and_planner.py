@@ -14,10 +14,9 @@ from repro.core.graph import (
     build_graph,
     conflicts_in_query,
     in_conflict,
-    occurrence_ranges,
 )
 from repro.core.gwmin import guaranteed_weight, gwmin
-from repro.core.model import SharingCandidate, Workload
+from repro.core.model import SharingCandidate, Workload, occurrence_ranges
 from repro.core.planner import (
     all_valid_plans,
     exhaustive_optimal_plan,

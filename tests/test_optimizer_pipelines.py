@@ -81,7 +81,7 @@ class TestExhaustive:
         # graph exceeds the vertex cap and the guard must fire.
         cost = cost_for(wl, rate=2.0)
         with pytest.raises(ValueError, match="DNF"):
-            exhaustive_optimizer(wl, cost, max_vertices=20)
+            exhaustive_optimizer(wl, cost)
 
 
 class TestClusteredWorkloadQualityGap:

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.model import Workload
-from repro.runtime.aseq import run_aseq_pandas
+from repro.runtime.sharon import run_plan_pandas
 from repro.runtime.streaming import MicroBatchExecutor, time_chunks
 from repro.synth_data import event_stream
 from repro.workloads import traffic_workload
@@ -27,7 +27,7 @@ def canon(counts):
 
 
 def batch_result(wl, pdf):
-    res, _ = run_aseq_pandas(pdf, wl)
+    res, _ = run_plan_pandas(pdf, wl, None)
     return canon(res)
 
 

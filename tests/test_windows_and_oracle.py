@@ -13,7 +13,7 @@ from repro.runtime.windows import (
     n_windows,
     partition_rows,
 )
-from repro.synth_data import event_stream, stream_to_spark
+from repro.synth_data import event_stream
 
 
 class TestWindowMath:
@@ -51,7 +51,7 @@ class TestWindowMath:
     def test_spark_matches_pandas(self, spark):
         pdf = event_stream(n_events=300, types=["A", "B"], duration=500, seed=2)
         got = (
-            explode_windows(stream_to_spark(spark, pdf), within=120, slide=60)
+            explode_windows(spark.createDataFrame(pdf), within=120, slide=60)
             .toPandas()
             .sort_values(["wid", "key", "time", "type"])
             .reset_index(drop=True)
@@ -251,7 +251,7 @@ class TestRepeatedTypes:
         )
         from repro.runtime.sharon import run_plan
 
-        got = run_plan(stream_to_spark(spark, pdf), wl, None).select(
+        got = run_plan(spark.createDataFrame(pdf), wl, None).select(
             "qid", "wid", "key", "cnt"
         )
         exploded = explode_windows_pandas(pdf, within=120, slide=60)
@@ -262,7 +262,7 @@ class TestRepeatedTypes:
         )
 
     def test_streaming_with_repeated_types(self):
-        from repro.runtime.aseq import run_aseq_pandas
+        from repro.runtime.sharon import run_plan_pandas
         from repro.runtime.streaming import MicroBatchExecutor, time_chunks
 
         wl = Workload.from_patterns([("A", "A", "B")], within=100, slide=50)
@@ -272,7 +272,7 @@ class TestRepeatedTypes:
         ex = MicroBatchExecutor(wl)
         for chunk in time_chunks(pdf, 4):
             ex.process_batch(chunk)
-        want, _ = run_aseq_pandas(pdf, wl)
+        want, _ = run_plan_pandas(pdf, wl, None)
         got = ex.results()
         pd.testing.assert_frame_equal(
             got.sort_values(["wid", "key"]).reset_index(drop=True)[
