@@ -12,8 +12,9 @@ from repro.core.cost import CostModel
 from repro.core.model import Workload
 from repro.core.optimizer import greedy_optimizer, sharon_optimizer
 from repro.oracle import assert_equivalent
-from repro.oracle_sql import workload_count_sql
+from repro.oracle_sql import seq_count_sql, workload_count_sql
 from repro.runtime.sharon import run_plan, run_plan_pandas
+from repro.runtime.streaming import MicroBatchExecutor, time_chunks
 from repro.runtime.twostep import flink_like, spass_like
 from repro.runtime.windows import explode_windows_pandas
 from repro.synth_data import event_stream
@@ -59,6 +60,21 @@ class TestASeqEngine:
     def test_against_oracle(self, traffic, traffic_spark, traffic_exploded):
         wl, _ = traffic
         got = run_plan(traffic_spark, wl, None).select("qid", "wid", "key", "cnt")
+        assert_equivalent(got, _wl_sql(wl), ev=traffic_exploded)
+
+    def test_single_query_against_seq_oracle(
+        self, traffic, traffic_spark, traffic_exploded
+    ):
+        wl, _ = traffic
+        q = wl[0]
+        one = Workload.from_patterns([q.pattern], within=WITHIN, slide=SLIDE)
+        got = run_plan(traffic_spark, one, None).select("wid", "key", "cnt")
+        assert_equivalent(got, seq_count_sql(q.pattern), ev=traffic_exploded)
+
+    def test_pandas_twin_against_oracle(self, spark, traffic, traffic_exploded):
+        wl, pdf = traffic
+        counts, _ = run_plan_pandas(pdf, wl, None)
+        got = spark.createDataFrame(counts[["qid", "wid", "key", "cnt"]])
         assert_equivalent(got, _wl_sql(wl), ev=traffic_exploded)
 
 
@@ -111,6 +127,17 @@ class TestSharonEngine:
             pd.testing.assert_frame_equal(
                 spark_res[["wid", "key", "qid", "cnt"]], local_res, check_dtype=False
             )
+
+    def test_one_row_per_query_window_key(
+        self, traffic, traffic_spark, optimal_plan
+    ):
+        # One (wid, key) partition lives in one task: no (qid, wid, key)
+        # may come back twice, and zero counts are not emitted.
+        wl, _ = traffic
+        got = run_plan(traffic_spark, wl, optimal_plan).toPandas()
+        assert len(got) > 0
+        assert not got.duplicated(["qid", "wid", "key"]).any()
+        assert (got["cnt"] > 0).all()
 
     def test_empty_stream_gives_no_rows(self, traffic, traffic_spark, optimal_plan):
         wl, _ = traffic
@@ -195,7 +222,7 @@ class TestTwoStepEngines:
 LONG = tuple(f"T{j}" for j in range(10))
 
 
-def long_window(spark, per_type):
+def long_window_pandas(per_type):
     """One key, one window: ``per_type`` events of each type of LONG in
     pattern order, so LONG has per_type^10 sequences."""
     n = per_type * len(LONG)
@@ -207,6 +234,11 @@ def long_window(spark, per_type):
             "type": np.repeat(LONG, per_type).astype(object),
         }
     )
+    return wl, pdf
+
+
+def long_window(spark, per_type):
+    wl, pdf = long_window_pandas(per_type)
     return wl, spark.createDataFrame(pdf)
 
 
@@ -222,6 +254,16 @@ class TestExactLongCounts:
         wl, sdf = long_window(spark, 90)
         with pytest.raises(PythonException, match="OverflowError"):
             run_plan(sdf, wl, None).collect()
+
+    def test_run_plan_pandas_beyond_float64_is_exact(self):
+        wl, pdf = long_window_pandas(41)
+        counts, _ = run_plan_pandas(pdf, wl, None)
+        assert counts["cnt"].tolist() == [13_422_659_310_152_401] == [41**10]
+
+    def test_run_plan_pandas_beyond_int64_raises(self):
+        wl, pdf = long_window_pandas(90)
+        with pytest.raises(OverflowError):
+            run_plan_pandas(pdf, wl, None)
 
 
 ENGINES = {
@@ -239,3 +281,27 @@ def test_every_engine_counts_in_long(engine, traffic, traffic_spark):
     plan = greedy_optimizer(wl, cost).plan
     out = ENGINES[engine](traffic_spark, wl, plan)
     assert out.schema["cnt"].dataType == LongType()
+
+
+def _streamed(pdf, wl):
+    ex = MicroBatchExecutor(wl)
+    for chunk in time_chunks(pdf, 4):
+        ex.process_batch(chunk)
+    return ex.results()
+
+
+LOCAL_ENGINES = {
+    "aseq_pandas": lambda pdf, wl, plan: run_plan_pandas(pdf, wl, None)[0],
+    "sharon_pandas": lambda pdf, wl, plan: run_plan_pandas(pdf, wl, plan)[0],
+    "streaming": lambda pdf, wl, plan: _streamed(pdf, wl),
+}
+
+
+@pytest.mark.parametrize("engine", list(LOCAL_ENGINES))
+def test_every_local_engine_counts_in_int64(engine, traffic):
+    wl, pdf = traffic
+    cost = CostModel(wl, rates_from_stream(pdf, within=WITHIN))
+    plan = greedy_optimizer(wl, cost).plan
+    out = LOCAL_ENGINES[engine](pdf, wl, plan)
+    assert len(out) > 0
+    assert out["cnt"].dtype == np.int64

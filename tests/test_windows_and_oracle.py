@@ -1,5 +1,6 @@
 """Window assignment (Spark vs pandas twins), the oracle SQL builder,
 and Section 7.3 (repeated event types in a pattern) end to end."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -231,6 +232,25 @@ class TestOracleSqlBuilder:
     def test_workload_union(self):
         sql = workload_count_sql({0: ("A", "B"), 1: ("B", "C")})
         assert sql.count("UNION ALL") == 1
+
+    def test_counts_are_bigint(self):
+        # The oracle counts in the engines' ``long``: exact, never DOUBLE.
+        ev = pd.DataFrame(
+            {
+                "wid": [0, 0, 0, 1],
+                "key": [1, 1, 1, 1],
+                "time": [1, 2, 3, 4],
+                "type": ["A", "A", "B", "B"],
+            }
+        )
+        con = duckdb.connect()
+        try:
+            con.register("ev", ev)
+            got = con.execute(seq_count_sql(("A", "B"))).fetchdf()
+        finally:
+            con.close()
+        assert got["cnt"].dtype == np.int64
+        assert got[["wid", "key", "cnt"]].values.tolist() == [[0, 1, 2]]
 
     def test_single_type_pattern(self):
         sql = seq_count_sql(("A",))

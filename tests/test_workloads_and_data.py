@@ -2,6 +2,7 @@
 metrics that back the evaluation sweeps."""
 import math
 
+import pandas as pd
 import pytest
 
 from repro import experiments
@@ -48,6 +49,23 @@ class TestStreamGenerators:
         assert second_half > 1.5 * first_half
 
 
+    def test_types_drawn_uniformly(self):
+        types = [f"T{i}" for i in range(20)]
+        counts = event_stream(n_events=5000, types=types, seed=4)["type"].value_counts()
+        assert set(counts.index) == set(types)
+        assert counts.iloc[0] < 1.5 * counts.iloc[-1]
+
+    @pytest.mark.parametrize("ramp", [False, True])
+    def test_stream_for_workload_is_event_stream(self, ramp):
+        # Every figure's stream: event_stream over the workload's types.
+        wl = traffic_workload()
+        got = stream_for_workload(wl, n_events=800, duration=900, seed=7, ramp=ramp)
+        want = event_stream(
+            n_events=800, types=sorted(wl.event_types), duration=900, seed=7, ramp=ramp
+        )
+        pd.testing.assert_frame_equal(got, want)
+
+
 class TestWorkloadGenerators:
     @pytest.mark.parametrize("n_queries,plen", [(5, 4), (10, 6), (20, 10), (21, 7)])
     def test_shared_core_shapes(self, n_queries, plen):
@@ -63,6 +81,13 @@ class TestWorkloadGenerators:
         s = sharable_patterns(wl)
         full_core = [p for p, qids in s.items() if len(qids) == 5]
         assert full_core, "each family's core should be shared by 5 queries"
+
+    @pytest.mark.parametrize("n_queries,plen", [(8, 10), (20, 6)])
+    def test_fig14_workload_shapes(self, n_queries, plen):
+        wl = experiments.fig14_workload(n_queries, plen)
+        assert len(wl) == n_queries
+        assert all(len(q.pattern) == plen for q in wl)
+        assert (wl[0].within, wl[0].slide) == (experiments.WITHIN, experiments.SLIDE)
 
     def test_clustered_replicates_running_example(self):
         wl = clustered_example_workload(n_clusters=3)
@@ -104,6 +129,14 @@ class TestMemoryModel:
         assert metrics.sharon_aggregates(wl, cost, []) == metrics.aseq_aggregates(
             wl, cost
         )
+
+    def test_twostep_sequences_dominate_online_aggregates(self):
+        # Fig 13's premise: a two-step engine stores every sequence, far
+        # more than the online per-START-event aggregates.
+        wl = shared_core_workload(n_queries=10, pattern_len=6)
+        cost = CostModel(wl, uniform_rates(wl.event_types, 20.0))
+        sequences = sum(metrics.expected_sequences(q.pattern, cost.rate) for q in wl)
+        assert sequences > metrics.aseq_aggregates(wl, cost)
 
     def test_aggregates_to_bytes(self):
         assert metrics.aggregates_to_bytes(10) == 80
