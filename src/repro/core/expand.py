@@ -13,21 +13,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cost import CostModel
-from .graph import SharonGraph, conflicts_in_query
-from .model import SharingCandidate, Workload
-
-
-def conflict_causing_queries(
-    workload: Workload, v: SharingCandidate, u: SharingCandidate
-) -> frozenset[int]:
-    """Queries in Q_v ∩ Q_u where the two patterns overlap (Def 6 "cause")."""
-    if v.p == u.p:
-        return frozenset(v.qids & u.qids)
-    return frozenset(
-        q
-        for q in v.qids & u.qids
-        if conflicts_in_query(workload[q].pattern, v.p, u.p)
-    )
+from .graph import SharonGraph, conflict_causing_queries
+from .model import SharingCandidate
 
 
 def expand_candidate(
@@ -106,11 +93,14 @@ def expand_graph(
     conflict iff a ∩ b meets C(v, u) when (v, u) is a base edge, iff
     a ∩ b is non-empty when v = u, and never otherwise. Each adjacency
     set receives its members in vertex order, exactly as pairwise
-    ``add_vertex`` insertion would.
+    ``add_vertex`` insertion would. Alg 5 walks each candidate's
+    neighbours in vertex order, so the options ``max_options`` keeps do
+    not depend on the order of a set of strings.
     """
     base = graph.vertices
     pos = {v.key(): i for i, v in enumerate(base)}
-    nbrs = [[pos[uk] for uk in graph.adj[v.key()]] for v in base]
+    # Neighbour positions in vertex order, as ``graph.neighbors`` lists them.
+    nbrs = [sorted(pos[uk] for uk in graph.adj[v.key()]) for v in base]
     # C(v, u) once per base edge; it is symmetric in v and u.
     cause: dict[tuple[int, int], frozenset[int]] = {}
     for i, v in enumerate(base):
@@ -120,40 +110,34 @@ def expand_graph(
                     graph.workload, v, base[j]
                 )
 
+    # Options of distinct base candidates differ: they keep their base's
+    # pattern, and ``build_graph`` makes one candidate per pattern.
     opts: list[SharingCandidate] = []
-    weights: dict[tuple, float] = {}
+    weights: list[float] = []
     groups: dict[int, list[int]] = {}  # base index -> its options' indices
     for i, v in enumerate(base):
         causes = [cause[i, j] for j in nbrs[i]]
         for opt in expand_candidate(graph, v, max_options, causes):
-            k = opt.key()
-            if k in weights:
-                continue
-            w = graph.weight(v) if k == v.key() else cost.bvalue(opt)
+            w = graph.weight(v) if opt.key() == v.key() else cost.bvalue(opt)
             if w > 0:
                 groups.setdefault(i, []).append(len(opts))
                 opts.append(opt)
-                weights[k] = w
+                weights.append(w)
 
-    keys = [o.key() for o in opts]
     masks = [_mask(o.qids) for o in opts]
     cause_mask = {e: _mask(qs) for e, qs in cause.items()}
-    adj: dict[tuple, set[tuple]] = {k: set() for k in keys}
+    earlier: list[list[int]] = []  # per option: adjacent earlier options
     for i, group in groups.items():
-        lower = sorted(j for j in nbrs[i] if j < i and j in groups)
+        lower = [j for j in nbrs[i] if j < i and j in groups]
         for n, a in enumerate(group):
-            # Groups follow base order, so the options of lower base
-            # neighbours, then this group's, list earlier vertices in order.
-            earlier: list[int] = []
+            # Groups follow base order, so a runs through 0, 1, ... and
+            # the options of lower base neighbours, then this group's,
+            # list earlier vertices in order.
+            adjacent: list[int] = []
             for j in lower:
                 shared = masks[a] & cause_mask[i, j]
                 if shared:
-                    earlier += [b for b in groups[j] if masks[b] & shared]
-            earlier += [b for b in group[:n] if masks[b] & masks[a]]
-            for b in earlier:
-                adj[keys[a]].add(keys[b])
-                adj[keys[b]].add(keys[a])
-
-    expanded = SharonGraph(graph.workload, weights=weights, adj=adj)
-    expanded.vertices = opts
-    return expanded
+                    adjacent += [b for b in groups[j] if masks[b] & shared]
+            adjacent += [b for b in group[:n] if masks[b] & masks[a]]
+            earlier.append(adjacent)
+    return SharonGraph.from_edges(graph.workload, opts, weights, earlier)

@@ -27,45 +27,63 @@ def conflicts_in_query(query_pattern: Pattern, pa: Pattern, pb: Pattern) -> bool
     return any(sa < eb and sb < ea for (sa, ea) in ra for (sb, eb) in rb)
 
 
+def conflict_causing_queries(
+    workload: Workload, a: SharingCandidate, b: SharingCandidate
+) -> frozenset[int]:
+    """Definition 6's causes: the queries of Q_A ∩ Q_B where the patterns
+    overlap. Two candidates for the *same* pattern (options from Section
+    7.1) overlap in every query they share — a pattern overlaps itself."""
+    common = a.qids & b.qids
+    if not common or a.p == b.p:
+        return common
+    return frozenset(
+        q for q in common if conflicts_in_query(workload[q].pattern, a.p, b.p)
+    )
+
+
 def in_conflict(
     workload: Workload, a: SharingCandidate, b: SharingCandidate
 ) -> bool:
-    """Definition 6: a query in Q_A ∩ Q_B where the patterns overlap.
-
-    Two candidates for the *same* pattern (options from Section 7.1)
-    conflict exactly when they share a query — the pattern trivially
-    overlaps itself.
-    """
-    common = a.qids & b.qids
-    if not common:
-        return False
-    if a.p == b.p:
-        return True
-    return any(
-        conflicts_in_query(workload[qid].pattern, a.p, b.p) for qid in common
-    )
+    """Definition 6: some query in Q_A ∩ Q_B where the patterns overlap."""
+    return bool(conflict_causing_queries(workload, a, b))
 
 
 @dataclass
 class SharonGraph:
     """Adjacency-list Sharon graph (Definition 10).
 
-    Vertices live in a key -> candidate index kept in insertion order;
-    ``vertices`` reads it as a tuple and assigning a sequence rebuilds it.
+    ``index`` maps each vertex key to its candidate in vertex order;
+    ``weights`` and ``adj`` are keyed the same way.
     """
 
     workload: Workload
+    index: dict[tuple, SharingCandidate] = field(default_factory=dict, repr=False)
     weights: dict[tuple, float] = field(default_factory=dict)
     adj: dict[tuple, set[tuple]] = field(default_factory=dict)
-    _by_key: dict[tuple, SharingCandidate] = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def from_edges(
+        cls,
+        workload: Workload,
+        vertices: list[SharingCandidate],
+        weights: list[float],
+        earlier: list[list[int]],
+    ) -> "SharonGraph":
+        """The graph on ``vertices``, in this order and with these
+        ``weights``, where vertex ``a`` is adjacent to the vertices at the
+        positions ``earlier[a]`` (each below ``a``). Adjacency sets receive
+        their members in the order of ``a``, then of ``earlier[a]``."""
+        keys = [v.key() for v in vertices]
+        adj: dict[tuple, set[tuple]] = {k: set() for k in keys}
+        for ka, bs in zip(keys, earlier):
+            for b in bs:
+                adj[ka].add(keys[b])
+                adj[keys[b]].add(ka)
+        return cls(workload, dict(zip(keys, vertices)), dict(zip(keys, weights)), adj)
 
     @property
     def vertices(self) -> tuple[SharingCandidate, ...]:
-        return tuple(self._by_key.values())
-
-    @vertices.setter
-    def vertices(self, cands) -> None:
-        self._by_key = {c.key(): c for c in cands}
+        return tuple(self.index.values())
 
     def add_vertex(self, cand: SharingCandidate, weight: float) -> None:
         k = cand.key()
@@ -73,11 +91,11 @@ class SharonGraph:
             raise ValueError(f"duplicate vertex {k}")
         # Edges to existing vertices (Alg 1, Lines 6-8).
         self.adj[k] = set()
-        for uk, u in self._by_key.items():
+        for uk, u in self.index.items():
             if in_conflict(self.workload, cand, u):
                 self.adj[k].add(uk)
                 self.adj[uk].add(k)
-        self._by_key[k] = cand
+        self.index[k] = cand
         self.weights[k] = weight
 
     def remove_vertex(self, cand: SharingCandidate) -> None:
@@ -85,7 +103,7 @@ class SharonGraph:
         for u in self.adj.pop(k):
             self.adj[u].discard(k)
         self.weights.pop(k)
-        del self._by_key[k]
+        del self.index[k]
 
     def weight(self, cand: SharingCandidate) -> float:
         return self.weights[cand.key()]
@@ -94,28 +112,22 @@ class SharonGraph:
         return len(self.adj[cand.key()])
 
     def neighbors(self, cand: SharingCandidate) -> list[SharingCandidate]:
-        return [self._by_key[k] for k in self.adj[cand.key()]]
-
-    def has_edge(self, a: SharingCandidate, b: SharingCandidate) -> bool:
-        return b.key() in self.adj[a.key()]
+        """v's neighbours in vertex order. (A set of string tuples iterates
+        in an order that follows the process's string hash seed.)"""
+        adj = self.adj[cand.key()]
+        return [u for k, u in self.index.items() if k in adj]
 
     @property
     def n_edges(self) -> int:
         return sum(len(s) for s in self.adj.values()) // 2
 
     def copy(self) -> "SharonGraph":
-        g = SharonGraph(self.workload)
-        g._by_key = dict(self._by_key)
-        g.weights = dict(self.weights)
-        g.adj = {k: set(s) for k, s in self.adj.items()}
-        return g
-
-    def find_vertex(self, p: Pattern) -> SharingCandidate:
-        """Vertex whose pattern is ``p`` (unique pre-expansion); for tests."""
-        matches = [v for v in self.vertices if v.p == p]
-        if len(matches) != 1:
-            raise KeyError(f"{len(matches)} vertices with pattern {p}")
-        return matches[0]
+        return SharonGraph(
+            self.workload,
+            dict(self.index),
+            dict(self.weights),
+            {k: set(s) for k, s in self.adj.items()},
+        )
 
 
 def build_graph(

@@ -31,6 +31,7 @@ from .planner import (
     find_optimal_plan,
     find_optimal_plan_decomposed,
 )
+from .reduce import reduce_graph
 
 # Modeled object sizes (bytes) for the memory metric: a vertex stores its
 # pattern, query list and weight; an edge two refs; a plan its candidate
@@ -67,18 +68,21 @@ def _graph_bytes(g: SharonGraph) -> int:
     return len(g.vertices) * _VERTEX_BYTES + g.n_edges * 2 * _EDGE_BYTES
 
 
-def _construct(workload: Workload, cost: CostModel) -> tuple[SharonGraph, float]:
+def _timed(fn, *args):
+    """(fn's result, its wall time in seconds): one phase's latency."""
     t0 = time.perf_counter()
-    g = build_graph(workload, sharable_patterns(workload), cost=cost)
-    return g, time.perf_counter() - t0
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def _construct(workload: Workload, cost: CostModel) -> SharonGraph:
+    return build_graph(workload, sharable_patterns(workload), cost=cost)
 
 
 def greedy_optimizer(workload: Workload, cost: CostModel) -> OptimizerResult:
     """GO: graph construction + GWMIN plan finder."""
-    g, t_build = _construct(workload, cost)
-    t0 = time.perf_counter()
-    plan = gwmin(g)
-    t_find = time.perf_counter() - t0
+    g, t_build = _timed(_construct, workload, cost)
+    plan, t_find = _timed(gwmin, g)
     return OptimizerResult(
         name="greedy",
         plan=plan,
@@ -97,19 +101,15 @@ def exhaustive_optimizer(workload: Workload, cost: CostModel) -> OptimizerResult
     More than ``_EO_MAX_VERTICES`` expanded candidates raise a
     ValueError, which marks DNF.
     """
-    g, t_build = _construct(workload, cost)
-    t0 = time.perf_counter()
-    gx = expand_graph(g, cost)
-    t_expand = time.perf_counter() - t0
+    g, t_build = _timed(_construct, workload, cost)
+    gx, t_expand = _timed(expand_graph, g, cost)
     if len(gx.vertices) > _EO_MAX_VERTICES:
         raise ValueError(
             f"exhaustive search over {len(gx.vertices)} candidates "
             f"(2^{len(gx.vertices)} plans) marked DNF"
         )
     stats = PlanSearchStats()
-    t0 = time.perf_counter()
-    plan, score = exhaustive_optimal_plan(gx, stats)
-    t_search = time.perf_counter() - t0
+    (plan, score), t_search = _timed(exhaustive_optimal_plan, gx, stats)
     return OptimizerResult(
         name="exhaustive",
         plan=plan,
@@ -136,21 +136,14 @@ def sharon_optimizer(
     By default the finder runs per connected component (same optimum,
     far smaller traversal — see planner docs). ``decompose=False`` runs
     the paper's as-printed finder, whose plan levels grow with the
-    product of the components' valid spaces."""
-    from .reduce import reduce_graph  # local import avoids cycle at module load
-
-    g, t_build = _construct(workload, cost)
-    t0 = time.perf_counter()
-    gx = expand_graph(g, cost, max_options)
-    t_expand = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    red = reduce_graph(gx, guaranteed_weight(gx))
-    t_reduce = time.perf_counter() - t0
+    product of the components' valid spaces. For a dynamic workload
+    (Section 7.4), re-run this on fresh statistics."""
+    g, t_build = _timed(_construct, workload, cost)
+    gx, t_expand = _timed(expand_graph, g, cost, max_options)
+    red, t_reduce = _timed(lambda: reduce_graph(gx, guaranteed_weight(gx)))
     stats = PlanSearchStats()
     finder = find_optimal_plan_decomposed if decompose else find_optimal_plan
-    t0 = time.perf_counter()
-    plan, score = finder(red.graph, red.conflict_free, stats)
-    t_find = time.perf_counter() - t0
+    (plan, score), t_find = _timed(finder, red.graph, red.conflict_free, stats)
     score += sum(gx.weight(v) for v in red.conflict_free)
     return OptimizerResult(
         name="sharon",
@@ -172,9 +165,3 @@ def sharon_optimizer(
             * _PLAN_ENTRY_BYTES,
         },
     )
-
-
-def reoptimize(workload: Workload, cost: CostModel) -> OptimizerResult:
-    """Dynamic-workload hook (Section 7.4): rerun the static optimizer on
-    fresh statistics; callers swap plans between micro-batches."""
-    return sharon_optimizer(workload, cost)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from math import comb
+from typing import Iterable, Iterator
 
 from .graph import SharonGraph
 from .model import SharingCandidate
@@ -62,29 +63,25 @@ def get_next_level(
     return children
 
 
-def _levels(graph: SharonGraph) -> Iterator[list[PlanKey]]:
-    """The valid search space level by level: single candidates first,
-    then each level from the last by Algorithm 3, until one is empty."""
-    level: list[PlanKey] = sorted((v.key(),) for v in graph.vertices)
+def _levels(graph: SharonGraph, keys: Iterable[tuple]) -> Iterator[list[PlanKey]]:
+    """The valid plans over vertices ``keys``, level by level: single
+    candidates first, then each level from the last by Algorithm 3,
+    until one is empty."""
+    level: list[PlanKey] = sorted((k,) for k in keys)
     while level:
         yield level
         level = sorted(get_next_level(graph, level))
 
 
-def find_optimal_plan(
-    graph: SharonGraph,
-    conflict_free: list[SharingCandidate] | None = None,
-    stats: PlanSearchStats | None = None,
-) -> tuple[list[SharingCandidate], float]:
-    """Algorithm 4: BFS over the valid search space, pruning invalid
-    branches at their roots. Returns (optimal plan with the conflict-free
-    candidates F appended, best score over the *reduced* space — callers
-    holding the original graph add F's weights to get the full score)."""
-    conflict_free = conflict_free or []
-    by_key = {v.key(): v for v in graph.vertices}
+def _search(
+    graph: SharonGraph, keys: Iterable[tuple], stats: PlanSearchStats | None
+) -> tuple[PlanKey, float]:
+    """Algorithm 4 over vertices ``keys``: BFS over their valid plans,
+    pruning invalid branches at their roots; returns the best plan and
+    its score."""
     opt: PlanKey = ()
     best = 0.0
-    for level in _levels(graph):
+    for level in _levels(graph, keys):
         if stats is not None:
             stats.plans_per_level.append(len(level))
             stats.peak_level_plans = max(stats.peak_level_plans, len(level))
@@ -92,27 +89,36 @@ def find_optimal_plan(
             sc = _score(graph, plan)
             if sc > best:
                 opt, best = plan, sc
-    plan = [by_key[k] for k in opt] + list(conflict_free)
-    return plan, best
+    return opt, best
 
 
-def _components(graph: SharonGraph) -> list[list]:
-    """Connected components of the graph's vertices (by conflict edges)."""
+def find_optimal_plan(
+    graph: SharonGraph,
+    conflict_free: list[SharingCandidate] | None = None,
+    stats: PlanSearchStats | None = None,
+) -> tuple[list[SharingCandidate], float]:
+    """Algorithm 4 over the whole graph. Returns (optimal plan with the
+    conflict-free candidates F appended, best score over the *reduced*
+    space — callers holding the original graph add F's weights to get
+    the full score)."""
+    opt, best = _search(graph, graph.index, stats)
+    return [graph.index[k] for k in opt] + list(conflict_free or []), best
+
+
+def _components(graph: SharonGraph) -> list[list[tuple]]:
+    """Vertex keys of each connected component (by conflict edges)."""
     seen: set[tuple] = set()
-    comps: list[list] = []
-    by_key = {v.key(): v for v in graph.vertices}
-    for v in graph.vertices:
-        if v.key() in seen:
+    comps: list[list[tuple]] = []
+    for root in graph.index:
+        if root in seen:
             continue
-        stack, comp = [v.key()], []
-        seen.add(v.key())
-        while stack:
-            k = stack.pop()
-            comp.append(by_key[k])
+        seen.add(root)
+        comp = [root]
+        for k in comp:  # grows while it is walked: a breadth-first search
             for u in graph.adj[k]:
                 if u not in seen:
                     seen.add(u)
-                    stack.append(u)
+                    comp.append(u)
         comps.append(comp)
     return comps
 
@@ -123,7 +129,7 @@ def find_optimal_plan_decomposed(
     stats: PlanSearchStats | None = None,
 ) -> tuple[list[SharingCandidate], float]:
     """Optimality-preserving engineering extension of Algorithm 4: run
-    the finder per connected component and union the results. Candidates
+    the search per connected component and union the results. Candidates
     in different components never conflict, so the union of per-component
     optima is the global optimum while the traversed space shrinks from
     the *product* of component valid-space sizes to their *sum*. The
@@ -131,22 +137,17 @@ def find_optimal_plan_decomposed(
     large plan-quality sweeps (Fig 16) use this variant."""
     plan: list[SharingCandidate] = list(conflict_free or [])
     score = 0.0
-    for comp in _components(graph):
-        sub = SharonGraph(graph.workload)
-        keys = {v.key() for v in comp}
-        sub.vertices = list(comp)
-        sub.weights = {k: graph.weights[k] for k in keys}
-        sub.adj = {k: set(graph.adj[k]) & keys for k in keys}
-        sub_plan, sub_score = find_optimal_plan(sub, stats=stats)
-        plan.extend(sub_plan)
-        score += sub_score
+    for keys in _components(graph):
+        opt, best = _search(graph, keys, stats)
+        plan += [graph.index[k] for k in opt]
+        score += best
     return plan, score
 
 
 def all_valid_plans(graph: SharonGraph) -> list[PlanKey]:
     """Every non-empty valid plan, via the level-wise generator. Used by
     tests to pin Example 10's valid-space size (10 plans)."""
-    return [plan for level in _levels(graph) for plan in level]
+    return [plan for level in _levels(graph, graph.index) for plan in level]
 
 
 def exhaustive_optimal_plan(
@@ -155,24 +156,18 @@ def exhaustive_optimal_plan(
     """The naive finder: enumerate all 2^|V| candidate subsets, keep the
     best valid one. Exponential with no pruning — the Exhaustive
     Optimizer baseline of Section 8.3."""
-    by_key = {v.key(): v for v in graph.vertices}
-    keys = sorted(by_key)
+    keys = sorted(graph.index)
     opt: tuple = ()
     best = 0.0
-    n_seen = 0
     for s in range(1, len(keys) + 1):
-        level_count = 0
         for combo in combinations(keys, s):
-            n_seen += 1
-            level_count += 1
-            if any(
-                b in graph.adj[a] for a, b in combinations(combo, 2)
-            ):
+            if any(b in graph.adj[a] for a, b in combinations(combo, 2)):
                 continue
             sc = _score(graph, combo)
             if sc > best:
                 opt, best = combo, sc
         if stats is not None:
-            stats.plans_per_level.append(level_count)
-            stats.peak_level_plans = max(stats.peak_level_plans, level_count)
-    return [by_key[k] for k in opt], best
+            n_subsets = comb(len(keys), s)
+            stats.plans_per_level.append(n_subsets)
+            stats.peak_level_plans = max(stats.peak_level_plans, n_subsets)
+    return [graph.index[k] for k in opt], best

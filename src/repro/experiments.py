@@ -61,7 +61,7 @@ def _stream(wl: Workload, evw: int, *, n_keys: int, seed: int, ramp: bool = Fals
 
 
 def _nwin() -> int:
-    return n_windows(DURATION, within=WITHIN, slide=SLIDE)
+    return n_windows(DURATION, slide=SLIDE)
 
 
 def _time_pandas(fn, repeats: int = 3) -> tuple[float, object]:

@@ -10,20 +10,15 @@ semantics an engine must agree with.
 from __future__ import annotations
 
 
-def seq_count_sql(
-    pattern: tuple[str, ...],
-    *,
-    table: str = "ev",
-    qid: int | None = None,
-) -> str:
-    """n-way self-join counting sequences per (wid, key).
+def seq_count_sql(pattern: tuple[str, ...], *, qid: int | None = None) -> str:
+    """n-way self-join counting sequences per (wid, key) of table ``ev``.
 
     Output columns: [qid,] wid, key, cnt — ``cnt`` is DuckDB's BIGINT
     ``COUNT(*)``, the engines' ``long``. Groups with zero matches produce
     no row, as the engines emit only nonzero counts.
     """
     l = len(pattern)
-    froms = ", ".join(f"{table} e{i}" for i in range(l))
+    froms = ", ".join(f"ev e{i}" for i in range(l))
     conds = [f"e{i}.type = '{pattern[i]}'" for i in range(l)]
     conds += [f"e{i}.time < e{i + 1}.time" for i in range(l - 1)]
     conds += [f"e{i}.wid = e0.wid AND e{i}.key = e0.key" for i in range(1, l)]
@@ -36,9 +31,8 @@ def seq_count_sql(
     )
 
 
-def workload_count_sql(patterns: dict[int, tuple[str, ...]], *, table: str = "ev") -> str:
+def workload_count_sql(patterns: dict[int, tuple[str, ...]]) -> str:
     """UNION ALL of :func:`seq_count_sql` per query: (qid, wid, key, cnt)."""
-    parts = [
-        seq_count_sql(p, table=table, qid=qid) for qid, p in sorted(patterns.items())
-    ]
-    return " UNION ALL ".join(parts)
+    return " UNION ALL ".join(
+        seq_count_sql(p, qid=qid) for qid, p in sorted(patterns.items())
+    )

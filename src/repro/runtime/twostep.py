@@ -16,11 +16,13 @@ sequences first, aggregate afterwards.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.model import SharingCandidate, Workload
-from .kernels import compile_segments
+from .sharon import compile_plan
 from .windows import explode_windows
 
 
@@ -45,40 +47,14 @@ def flink_like(events: DataFrame, workload: Workload) -> DataFrame:
     """Non-shared two-step: construct-then-count per query."""
     q0 = workload[0]
     exploded = explode_windows(events, within=q0.within, slide=q0.slide)
-    out = None
-    for q in workload:
-        cnt = (
-            construct_sequences(exploded, q.pattern)
-            .groupBy("wid", "key")
-            .agg(F.count(F.lit(1)).alias("cnt"))
-            .select(F.lit(q.qid).alias("qid"), "wid", "key", "cnt")
-        )
-        out = cnt if out is None else out.unionByName(cnt)
-    return out
-
-
-def counted_matches(exploded: DataFrame, pattern: tuple[str, ...]) -> DataFrame:
-    """Matches of ``pattern`` as (wid, key, ts, te, cnt): cnt sequences
-    share the start time ts and end time te."""
-    df = exploded.where(F.col("type") == pattern[0]).select(
-        "wid",
-        "key",
-        F.col("time").alias("ts"),
-        F.col("time").alias("te"),
-        F.lit(1).alias("cnt"),
-    )
-    for t in pattern[1:]:
-        ej = exploded.where(F.col("type") == t).select(
-            "wid", "key", F.col("time").alias("tn")
-        )
-        df = (
-            df.join(ej, on=["wid", "key"])
-            .where(F.col("tn") > F.col("te"))
-            .groupBy("wid", "key", "ts", "tn")
-            .agg(F.sum("cnt").alias("cnt"))
-            .withColumnRenamed("tn", "te")
-        )
-    return df
+    counts = [
+        construct_sequences(exploded, q.pattern)
+        .groupBy("wid", "key")
+        .agg(F.count(F.lit(1)).alias("cnt"))
+        .select(F.lit(q.qid).alias("qid"), "wid", "key", "cnt")
+        for q in workload
+    ]
+    return reduce(DataFrame.unionByName, counts)
 
 
 def _combine(left: DataFrame, right: DataFrame) -> DataFrame:
@@ -99,6 +75,24 @@ def _combine(left: DataFrame, right: DataFrame) -> DataFrame:
     )
 
 
+def _type_matches(exploded: DataFrame, t: str) -> DataFrame:
+    """Events of type ``t`` as a counted-match relation: one
+    single-event sequence per row, so ts = te = time and cnt = 1."""
+    return exploded.where(F.col("type") == t).select(
+        "wid",
+        "key",
+        F.col("time").alias("ts"),
+        F.col("time").alias("te"),
+        F.lit(1).alias("cnt"),
+    )
+
+
+def counted_matches(exploded: DataFrame, pattern: tuple[str, ...]) -> DataFrame:
+    """Matches of ``pattern`` as (wid, key, ts, te, cnt): cnt sequences
+    share the start time ts and end time te."""
+    return reduce(_combine, (_type_matches(exploded, t) for t in pattern))
+
+
 def spass_like(
     events: DataFrame,
     workload: Workload,
@@ -109,28 +103,25 @@ def spass_like(
     privately and joined in temporal order, then counted."""
     q0 = workload[0]
     exploded = explode_windows(events, within=q0.within, slide=q0.slide)
-    shared_of: dict[int, list[tuple[str, ...]]] = {q.qid: [] for q in workload}
-    cache: dict[tuple[str, ...], DataFrame] = {}
-    for cand in plan:
-        if cand.p not in cache:
-            cache[cand.p] = counted_matches(exploded, cand.p).cache()
-        for qid in cand.qids:
-            shared_of[qid].append(cand.p)
-    out = None
-    for q in workload:
-        combined = None
-        for seg in compile_segments(q.pattern, shared_of[q.qid]):
-            m = (
+    cache = {
+        p: counted_matches(exploded, p).cache()
+        for p in dict.fromkeys(cand.p for cand in plan)
+    }
+    counts = []
+    for qid, segments in compile_plan(workload, plan).items():
+        combined = reduce(
+            _combine,
+            (
                 cache[seg.pattern]
                 if seg.shared
                 else counted_matches(exploded, seg.pattern)
-            )
-            combined = m if combined is None else _combine(combined, m)
-        cnt = (
+                for seg in segments
+            ),
+        )
+        counts.append(
             combined.groupBy("wid", "key")
             .agg(F.sum("cnt").alias("cnt"))
             .where(F.col("cnt") > 0)
-            .select(F.lit(q.qid).alias("qid"), "wid", "key", "cnt")
+            .select(F.lit(qid).alias("qid"), "wid", "key", "cnt")
         )
-        out = cnt if out is None else out.unionByName(cnt)
-    return out
+    return reduce(DataFrame.unionByName, counts)

@@ -107,6 +107,6 @@ def partition_rows(
     )
 
 
-def n_windows(duration: int, *, within: int, slide: int) -> int:
+def n_windows(duration: int, *, slide: int) -> int:
     """Number of windows that overlap [0, duration)."""
     return max(0, (duration - 1) // slide + 1)

@@ -57,7 +57,6 @@ def shared_core_workload(
     core_frac: float = 0.6,
     within: int = 600,
     slide: int = 300,
-    seed: int = 0,
 ) -> Workload:
     """Families of queries sharing a long core pattern (Fig 14 workloads).
 
@@ -88,34 +87,27 @@ def shared_core_workload(
 
 
 def gwmin_trap_workload(
-    *,
-    n_blocks: int,
-    pairs_per_block: int = 4,
-    core_len: int = 2,
-    within: int = 600,
-    slide: int = 300,
+    *, n_blocks: int, within: int = 600, slide: int = 300
 ) -> Workload:
     """Workloads where GWMIN is provably sub-optimal (Fig 16's regime).
 
     Each block is a star: a 2-type *hub* suffix shared by all of the
-    block's ``2 * pairs_per_block`` queries, plus per-pair shared
-    suffixes (``core_len`` pair types + the hub) that all conflict with
-    the hub. Under uniform rates the hub's weight/(degree+1) ratio wins,
-    so GWMIN shares the hub and excludes every pair candidate — while
-    the optimal plan takes the pair candidates whose summed benefit is
-    higher (the Example 12 structure, scaled). A greedily planned
-    executor therefore re-runs ``core_len`` chain levels privately per
-    query that the optimal plan computes once per pair. Blocks use
-    disjoint type namespaces.
+    block's 8 queries, plus 4 per-pair shared suffixes (2 pair types +
+    the hub) that all conflict with the hub. Under uniform rates the
+    hub's weight/(degree+1) ratio wins, so GWMIN shares the hub and
+    excludes every pair candidate — while the optimal plan takes the
+    pair candidates whose summed benefit is higher (the Example 12
+    structure, scaled). A greedily planned executor therefore re-runs 2
+    chain levels privately per query that the optimal plan computes once
+    per pair. Blocks use disjoint type namespaces.
     """
     pats: list[tuple[str, ...]] = []
     for b in range(n_blocks):
-        for i in range(pairs_per_block):
-            shared = tuple(
-                f"B{b:03d}S{i}x{j}" for j in range(core_len)
-            ) + (f"B{b:03d}H1", f"B{b:03d}H2")
-            pats.append((f"B{b:03d}P{2 * i}",) + shared)
-            pats.append((f"B{b:03d}P{2 * i + 1}",) + shared)
+        blk = f"B{b:03d}"
+        for i in range(4):
+            shared = (f"{blk}S{i}x0", f"{blk}S{i}x1", f"{blk}H1", f"{blk}H2")
+            pats.append((f"{blk}P{2 * i}",) + shared)
+            pats.append((f"{blk}P{2 * i + 1}",) + shared)
     return Workload.from_patterns(pats, within=within, slide=slide)
 
 

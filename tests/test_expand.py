@@ -1,18 +1,25 @@
 """Conflict resolution / candidate expansion tests (Section 7.1,
 Algorithms 5-6), pinned to the paper's Examples 13-15 on the q1-q7
 running example (query ids: q1=0 ... q7=6)."""
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import repro
+
 from repro.core.ccspan import sharable_patterns
 from repro.core.cost import CostModel, uniform_rates
-from repro.core.expand import (
+from repro.core.expand import expand_candidate, expand_graph
+from repro.core.graph import (
+    SharonGraph,
+    build_graph,
     conflict_causing_queries,
-    expand_candidate,
-    expand_graph,
+    in_conflict,
 )
-from repro.core.graph import SharonGraph, build_graph, in_conflict
 from repro.core.gwmin import guaranteed_weight
 from repro.core.model import SharingCandidate, Workload
 from repro.core.optimizer import sharon_optimizer
@@ -29,6 +36,12 @@ P1 = ("OakSt", "MainSt")
 P2 = ("ParkAve", "OakSt")
 P4 = ("MainSt", "WestSt")
 P5 = ("OakSt", "MainSt", "WestSt")
+
+
+def vertex(graph, p):
+    """The graph's one vertex with pattern ``p`` (unique before expansion)."""
+    (v,) = [v for v in graph.vertices if v.p == p]
+    return v
 
 
 @pytest.fixture(scope="module")
@@ -48,51 +61,51 @@ def cost(workload):
 
 class TestConflictCauses:
     def test_p1_p2_caused_by_q3_q4(self, workload, graph):
-        v = graph.find_vertex(P1)
-        u = graph.find_vertex(P2)
+        v = vertex(graph, P1)
+        u = vertex(graph, P2)
         assert conflict_causing_queries(workload, v, u) == frozenset({2, 3})
 
     def test_p1_p4_caused_by_q2_q4(self, workload, graph):
-        v = graph.find_vertex(P1)
-        u = graph.find_vertex(P4)
+        v = vertex(graph, P1)
+        u = vertex(graph, P4)
         assert conflict_causing_queries(workload, v, u) == frozenset({1, 3})
 
     def test_p1_p6_caused_by_q1(self, workload, graph):
-        v = graph.find_vertex(P1)
-        u = graph.find_vertex(("MainSt", "StateSt"))
+        v = vertex(graph, P1)
+        u = vertex(graph, ("MainSt", "StateSt"))
         assert conflict_causing_queries(workload, v, u) == frozenset({0})
 
 
 class TestExample13and14:
     def test_option_q1_q3_resolves_p4_p5_conflicts(self, workload, graph):
-        opts = expand_candidate(graph, graph.find_vertex(P1))
+        opts = expand_candidate(graph, vertex(graph, P1))
         by_qids = {o.qids: o for o in opts}
         opt = by_qids[frozenset({0, 2})]  # (p1, {q1, q3})
-        p4 = graph.find_vertex(P4)
-        p5 = graph.find_vertex(P5)
+        p4 = vertex(graph, P4)
+        p5 = vertex(graph, P5)
         assert not in_conflict(workload, opt, p4)
         assert not in_conflict(workload, opt, p5)
 
     def test_figure11_child_q1_q2(self, workload, graph):
         # Dropping the {q3, q4} cause of the p2/p3 conflicts yields (p1, {q1, q2}).
-        opts = expand_candidate(graph, graph.find_vertex(P1))
+        opts = expand_candidate(graph, vertex(graph, P1))
         assert frozenset({0, 1}) in {o.qids for o in opts}
 
     def test_all_options_keep_two_queries(self, graph):
-        opts = expand_candidate(graph, graph.find_vertex(P1))
+        opts = expand_candidate(graph, vertex(graph, P1))
         assert all(len(o.qids) > 1 for o in opts)
 
     def test_original_candidate_in_options(self, graph):
-        v = graph.find_vertex(P1)
+        v = vertex(graph, P1)
         assert v.qids in {o.qids for o in expand_candidate(graph, v)}
 
     def test_conflict_free_candidate_not_expanded(self, graph):
-        v = graph.find_vertex(("ElmSt", "ParkAve"))
+        v = vertex(graph, ("ElmSt", "ParkAve"))
         assert expand_candidate(graph, v) == [v]
 
     def test_example15_p2_expands_to_itself_only(self, graph):
         # Dropping any cause of p2's conflicts leaves < 2 queries.
-        v = graph.find_vertex(P2)
+        v = vertex(graph, P2)
         assert [o.qids for o in expand_candidate(graph, v)] == [v.qids]
 
 
@@ -119,7 +132,7 @@ class TestExpandedGraph:
             for b in p1_opts:
                 if a is b:
                     continue
-                assert expanded.has_edge(a, b) == bool(a.qids & b.qids)
+                assert (b.key() in expanded.adj[a.key()]) == bool(a.qids & b.qids)
 
     def test_expanded_plan_at_least_as_good(self, graph, expanded):
         _, base = find_optimal_plan(graph)
@@ -140,13 +153,45 @@ class TestExpansionElsewhere:
         assert len(gx.vertices) >= len(g.vertices)
 
     def test_disjoint_option_pairs_can_coexist(self, workload, graph):
-        v = graph.find_vertex(P1)
+        v = vertex(graph, P1)
         opts = expand_candidate(graph, v)
         by_qids = {o.qids: o for o in opts}
         a = by_qids.get(frozenset({0, 1}))
         b = by_qids.get(frozenset({2, 3}))
         if a is not None and b is not None:
             assert not in_conflict(workload, a, b)
+
+
+_EXPAND_TRAP = """
+from repro.core.ccspan import sharable_patterns
+from repro.core.cost import CostModel, uniform_rates
+from repro.core.expand import expand_graph
+from repro.core.graph import build_graph
+from repro.workloads import gwmin_trap_workload
+
+wl = gwmin_trap_workload(n_blocks=1)
+cost = CostModel(wl, uniform_rates(wl.event_types, 2.0))
+gx = expand_graph(build_graph(wl, sharable_patterns(wl), cost=cost), cost, 32)
+print([v.key() for v in gx.vertices])
+"""
+
+
+def test_expansion_independent_of_hash_seed():
+    # max_options truncates here, so the options kept depend on the order
+    # in which Alg 5 walks each candidate's neighbours; string-keyed sets
+    # iterate in an order that follows the process's hash seed.
+    src = str(Path(repro.__file__).parents[1])
+    keys = [
+        subprocess.run(
+            [sys.executable, "-c", _EXPAND_TRAP],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert keys[0] == keys[1]
 
 
 def _pairwise_options(graph, v, max_options):

@@ -10,7 +10,6 @@ from repro.core.graph import in_conflict
 from repro.core.optimizer import (
     exhaustive_optimizer,
     greedy_optimizer,
-    reoptimize,
     sharon_optimizer,
 )
 from repro.workloads import (
@@ -95,22 +94,15 @@ class TestClusteredWorkloadQualityGap:
         go = greedy_optimizer(wl, cost)
         assert so.score >= go.score
 
-    def test_reoptimize_returns_sharon_result(self):
-        wl = traffic_workload()
-        res = reoptimize(wl, cost_for(wl))
-        assert res.name == "sharon"
-        assert res.score > 0
-
-    def test_reoptimize_runs_decomposed_finder(self):
+    def test_default_runs_decomposed_finder(self):
         # The as-printed finder's plan levels grow with the product of
         # the components' valid spaces; on 20-query workloads it runs
-        # out of memory, so the dynamic hook must not use it.
+        # out of memory, so the default must not use it.
         wl = clustered_example_workload(n_clusters=3)
         cost = cost_for(wl, rate=2.0)
         printed = sharon_optimizer(wl, cost, decompose=False)
         decomposed = sharon_optimizer(wl, cost, decompose=True)
         assert decomposed.phase_memory["finder"] < printed.phase_memory["finder"]
-        res = reoptimize(wl, cost)
-        assert res.phase_memory["finder"] == decomposed.phase_memory["finder"]
-        assert sharon_optimizer(wl, cost).phase_memory == decomposed.phase_memory
+        res = sharon_optimizer(wl, cost)
+        assert res.phase_memory == decomposed.phase_memory
         assert res.score == decomposed.score

@@ -45,9 +45,9 @@ class TestWindowMath:
         assert len(out) == 2 * len(interior) + (len(pdf) - len(interior))
 
     def test_n_windows(self):
-        assert n_windows(1000, within=100, slide=50) == 20
-        assert n_windows(0, within=100, slide=50) == 0
-        assert n_windows(1, within=100, slide=50) == 1
+        assert n_windows(1000, slide=50) == 20
+        assert n_windows(0, slide=50) == 0
+        assert n_windows(1, slide=50) == 1
 
     def test_spark_matches_pandas(self, spark):
         pdf = event_stream(n_events=300, types=["A", "B"], duration=500, seed=2)
