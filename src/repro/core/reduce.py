@@ -11,10 +11,20 @@ paper's Examples 7 and 9 are reproduced exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .graph import SharonGraph
 from .model import SharingCandidate
+
+
+def neighbour_weights(graph: SharonGraph) -> dict[tuple, float]:
+    """Each vertex's sum of its neighbours' weights, correctly rounded
+    (``math.fsum``), so it is the same float whatever order the adjacency
+    set iterates in (for string tuples, an order that follows the
+    process's hash seed)."""
+    w = graph.weights.__getitem__
+    return {k: math.fsum(map(w, graph.adj[k])) for k in graph.index}
 
 
 def score_max(
@@ -22,15 +32,18 @@ def score_max(
     v: SharingCandidate,
     extra: float = 0.0,
     total: float | None = None,
+    neighbours: dict[tuple, float] | None = None,
 ) -> float:
     """Def 12: best score of a plan containing v = weights of all
     candidates not in conflict with v (v itself included) + ``extra``
     for candidates already guaranteed in the plan. ``total`` is
-    ``sum(graph.weights.values())`` when the caller keeps it."""
+    ``sum(graph.weights.values())`` and ``neighbours`` is
+    :func:`neighbour_weights` when the caller keeps them."""
     if total is None:
         total = sum(graph.weights.values())
-    # Total-minus-neighbors form: O(degree) given the graph's total.
-    return extra + total - sum(graph.weights[k] for k in graph.adj[v.key()])
+    if neighbours is None:
+        neighbours = neighbour_weights(graph)
+    return extra + total - neighbours[v.key()]
 
 
 @dataclass
@@ -48,8 +61,10 @@ def reduce_graph(graph: SharonGraph, min_weight: float) -> ReductionResult:
     pruned: list[SharingCandidate] = []
     free_weight = 0.0
     # The graph's total weight changes only when a vertex goes; it is
-    # re-summed then (same order, so the same float as a fresh sum).
+    # re-summed then (same order, so the same float as a fresh sum). A
+    # removed vertex's weight leaves its neighbours' sums.
     total = sum(g.weights.values())
+    neighbours = neighbour_weights(g)
     changed = True
     while changed:
         changed = False
@@ -57,10 +72,14 @@ def reduce_graph(graph: SharonGraph, min_weight: float) -> ReductionResult:
             if g.degree(v) == 0:
                 free.append(v)
                 free_weight += g.weight(v)
-            elif score_max(g, v, free_weight, total) < min_weight:
+            elif score_max(g, v, free_weight, total, neighbours) < min_weight:
                 pruned.append(v)
             else:
                 continue
+            k, w = v.key(), g.weight(v)
+            for u in g.adj[k]:
+                neighbours[u] -= w
+            del neighbours[k]
             g.remove_vertex(v)
             total = sum(g.weights.values())
             changed = True

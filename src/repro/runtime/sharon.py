@@ -19,16 +19,22 @@ A true JVM physical operator is out of scope offline (DESIGN.md §2);
 """
 from __future__ import annotations
 
+import sys
+import zipimport
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql.types import LongType, StructField, StructType
 
 from ..core.model import SharingCandidate, Workload
 from .kernels import Segment, compile_segments, evaluate_partitions
 from .windows import partition_rows
 
-_OUT_SCHEMA = "wid long, key long, qid long, cnt long"
 _OUT_COLUMNS = ["wid", "key", "qid", "cnt"]
+# A StructType, not a DDL string: mapInPandas would parse the string
+# through the JVM on every run_plan call.
+_OUT_SCHEMA = StructType([StructField(c, LongType()) for c in _OUT_COLUMNS])
 
 
 def compile_plan(
@@ -68,11 +74,29 @@ def run_plan(
     """
 
     def task(batches):
+        drop_zip_finders()
         frames = list(batches)
         if frames:
             yield run_plan_pandas(pd.concat(frames), workload, plan)[0]
 
     return events.repartition("key").mapInPandas(task, schema=_OUT_SCHEMA)
+
+
+def drop_zip_finders() -> None:
+    """Forget the zip archives' cached import finders in this process.
+
+    PySpark's reused Python worker calls ``importlib.invalidate_caches()``
+    before every task (``worker_util.setup_spark_files``). On CPython 3.11
+    that makes each cached ``zipimporter`` — one per package directory
+    imported from pyspark.zip, py4j's zip or a Spark jar, 16 in a PySpark
+    4.1 worker — re-read its archive's whole central directory: 26,672
+    entries and 120-220 ms of CPU per task, more than the task's own work.
+    Python rebuilds a dropped finder the next time an import needs it, so
+    the next task's invalidation finds nothing to re-read.
+    """
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
 
 
 def run_plan_pandas(

@@ -2,6 +2,11 @@
 Sharon on the shared kernel, Flink-like and SPASS-like two-step) must
 agree with the DuckDB n-way self-join oracle on the same
 window-exploded stream — per (query, window, key)."""
+import importlib
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -13,7 +18,7 @@ from repro.core.model import Workload
 from repro.core.optimizer import greedy_optimizer, sharon_optimizer
 from repro.oracle import assert_equivalent
 from repro.oracle_sql import seq_count_sql, workload_count_sql
-from repro.runtime.sharon import run_plan, run_plan_pandas
+from repro.runtime.sharon import drop_zip_finders, run_plan, run_plan_pandas
 from repro.runtime.streaming import MicroBatchExecutor, time_chunks
 from repro.runtime.twostep import flink_like, spass_like
 from repro.runtime.windows import explode_windows_pandas
@@ -161,6 +166,97 @@ class TestSharonEngine:
             got.sort_values(cols).reset_index(drop=True),
             want[got.columns].sort_values(cols).reset_index(drop=True),
         )
+
+
+def _zip_finders() -> list[str]:
+    return [
+        path
+        for path, finder in sys.path_importer_cache.items()
+        if isinstance(finder, zipimport.zipimporter)
+    ]
+
+
+class TestZipFinders:
+    """``run_plan``'s tasks drop the worker's cached zip finders, so that
+    PySpark's per-task ``invalidate_caches()`` has no archive to re-read;
+    imports from the archives must still work after the drop."""
+
+    def test_worker_imports_from_zip_after_drop(self, spark):
+        def probe(batches):
+            import pyspark
+
+            for _ in batches:
+                pass
+            drop_zip_finders()
+            finders = sys.path_importer_cache.values()
+            left = sum(isinstance(f, zipimport.zipimporter) for f in finders)
+            fresh = "pyspark.ml.linalg" not in sys.modules
+            mod = importlib.import_module("pyspark.ml.linalg")
+            yield pd.DataFrame(
+                {
+                    "left": [left],
+                    "fresh": [fresh],
+                    "loader": [type(mod.__loader__).__name__],
+                    "pyspark_loader": [type(pyspark.__loader__).__name__],
+                }
+            )
+
+        got = (
+            spark.range(1, numPartitions=1)
+            .mapInPandas(
+                probe, "left long, fresh boolean, loader string, pyspark_loader string"
+            )
+            .toPandas()
+        )
+        assert got["left"].tolist() == [0]
+        assert got["fresh"].tolist() == [True]
+        # Imported the way pyspark itself was: from pyspark.zip when the
+        # worker runs pyspark from the archive.
+        assert got["loader"].tolist() == got["pyspark_loader"].tolist()
+
+    @pytest.mark.parametrize("engine", ["aseq", "sharon"])
+    def test_repeated_run_plan_equals_twin(
+        self, engine, traffic, traffic_spark
+    ):
+        # The second job reuses a worker whose zip finders the first
+        # job's task dropped.
+        wl, pdf = traffic
+        plan = None
+        if engine == "sharon":
+            plan = sharon_optimizer(
+                wl, CostModel(wl, rates_from_stream(pdf, within=WITHIN))
+            ).plan
+        cols = ["qid", "wid", "key"]
+        want, _ = run_plan_pandas(pdf, wl, plan)
+        want = want.sort_values(cols).reset_index(drop=True)
+        for _ in range(2):
+            got = run_plan(traffic_spark, wl, plan).toPandas()
+            pd.testing.assert_frame_equal(
+                got.sort_values(cols).reset_index(drop=True), want[got.columns]
+            )
+
+    def test_second_submodule_imports_after_drop(self, tmp_path):
+        archive = tmp_path / "zipped.zip"
+        with zipfile.ZipFile(archive, "w") as z:
+            z.writestr("zipped_pkg/__init__.py", "")
+            z.writestr("zipped_pkg/first.py", "X = 1\n")
+            z.writestr("zipped_pkg/second.py", "Y = 2\n")
+        sys.path.insert(0, str(archive))
+        try:
+            assert importlib.import_module("zipped_pkg.first").X == 1
+            assert any(p.startswith(str(archive)) for p in _zip_finders())
+            drop_zip_finders()
+            assert _zip_finders() == []
+            second = importlib.import_module("zipped_pkg.second")
+            assert second.Y == 2
+            assert isinstance(second.__loader__, zipimport.zipimporter)
+        finally:
+            sys.path.remove(str(archive))
+            for name in ("zipped_pkg", "zipped_pkg.first", "zipped_pkg.second"):
+                sys.modules.pop(name, None)
+            for path in _zip_finders():
+                if path.startswith(str(archive)):
+                    del sys.path_importer_cache[path]
 
 
 class TestTwoStepEngines:

@@ -176,14 +176,12 @@ print([v.key() for v in gx.vertices])
 """
 
 
-def test_expansion_independent_of_hash_seed():
-    # max_options truncates here, so the options kept depend on the order
-    # in which Alg 5 walks each candidate's neighbours; string-keyed sets
-    # iterate in an order that follows the process's hash seed.
+def _under_hash_seeds(script):
+    """``script``'s standard output under PYTHONHASHSEED 0 and 1."""
     src = str(Path(repro.__file__).parents[1])
-    keys = [
+    return [
         subprocess.run(
-            [sys.executable, "-c", _EXPAND_TRAP],
+            [sys.executable, "-c", script],
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
             capture_output=True,
             text=True,
@@ -191,7 +189,49 @@ def test_expansion_independent_of_hash_seed():
         ).stdout
         for seed in ("0", "1")
     ]
+
+
+def test_expansion_independent_of_hash_seed():
+    # max_options truncates here, so the options kept depend on the order
+    # in which Alg 5 walks each candidate's neighbours; string-keyed sets
+    # iterate in an order that follows the process's hash seed.
+    keys = _under_hash_seeds(_EXPAND_TRAP)
     assert keys[0] == keys[1]
+
+
+# Alg 2 on the expanded shared_core graph (369 options), weighted by the
+# rates of a generated stream so that the BValues are not round numbers.
+_REDUCE_SHARED_CORE = """
+from repro.core.ccspan import sharable_patterns
+from repro.core.cost import CostModel
+from repro.core.expand import expand_graph
+from repro.core.graph import build_graph
+from repro.core.gwmin import guaranteed_weight
+from repro.core.optimizer import sharon_optimizer
+from repro.core.reduce import reduce_graph, score_max
+from repro.workloads import rates_from_stream, shared_core_workload, stream_for_workload
+
+wl = shared_core_workload(
+    n_queries=20, pattern_len=10, family_size=4, core_frac=0.8, within=600, slide=300
+)
+ev = stream_for_workload(wl, n_events=6000, n_keys=4, duration=3600, seed=1)
+cost = CostModel(wl, rates_from_stream(ev, within=600, duration=3600))
+gx = expand_graph(build_graph(wl, sharable_patterns(wl), cost=cost), cost)
+red = reduce_graph(gx, guaranteed_weight(gx))
+res = sharon_optimizer(wl, cost)
+print(len(gx.vertices))
+print([score_max(gx, v).hex() for v in gx.vertices])
+print([v.key() for v in red.conflict_free], [v.key() for v in red.pruned])
+print(sorted(c.key() for c in res.plan), res.score.hex())
+"""
+
+
+def test_reduction_independent_of_hash_seed():
+    # Score_max subtracts v's summed neighbour weights; summed over an
+    # adjacency set, their last bits followed the hash seed.
+    out = _under_hash_seeds(_REDUCE_SHARED_CORE)
+    assert int(out[0].split("\n")[0]) > 300
+    assert out[0] == out[1]
 
 
 def _pairwise_options(graph, v, max_options):
