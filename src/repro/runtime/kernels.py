@@ -435,6 +435,8 @@ def count_queries(
     Raises OverflowError when such a count is 2^63 or more."""
     index = cache.index
     counts = np.zeros((len(queries), index.n_parts), dtype=np.int64)
+    if not index.n_parts:  # e.g. a streaming pass whose windows hold no event
+        return counts, np.zeros(0, dtype=np.intp)
     bound = np.zeros(index.n_parts)
     patterns = [[t for seg in segments for t in seg.pattern] for segments in queries]
     # No count can reach 2^63 when the largest partition's size to the

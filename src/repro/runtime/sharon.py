@@ -103,19 +103,26 @@ def run_plan_pandas(
     events: pd.DataFrame,
     workload: Workload,
     plan: list[SharingCandidate] | None,
+    *,
+    first: int = 0,
+    stop: int | None = None,
 ) -> tuple[pd.DataFrame, dict]:
     """COUNT(*) per (window, key, query) over a pandas stream: one
-    :func:`evaluate_partitions` pass over every (wid, key) partition.
+    :func:`evaluate_partitions` pass over every (wid, key) partition of
+    the windows ``first <= wid < stop`` (every window by default).
 
     The events need not be in time order. This is the one evaluation
     routine: :func:`run_plan` runs it per Spark task and the streaming
-    driver per batch; benchmarks call it directly for the pass's
-    kernel-state statistics (shared builds by kind and their bytes,
-    segments, partition sizes). Returns (counts, stats); ``stats`` adds
-    ``partitions`` to the pass's figures.
+    driver per batch, over the windows the batch closes; benchmarks call
+    it directly for the pass's kernel-state statistics (shared builds by
+    kind and their bytes, segments, partition sizes). Returns (counts,
+    stats); ``stats`` adds ``partitions`` and ``rows``, the (event,
+    window) rows evaluated, to the pass's figures.
     """
     q0 = workload[0]
-    rows = partition_rows(events, within=q0.within, slide=q0.slide)
+    rows = partition_rows(
+        events, within=q0.within, slide=q0.slide, first=first, stop=stop
+    )
     compiled = compile_plan(workload, plan)
     counts, stats = evaluate_partitions(
         rows.times, rows.codes, rows.names, rows.pids, len(rows.wids),
@@ -124,5 +131,5 @@ def run_plan_pandas(
     qids = np.array(list(compiled), dtype=np.int64)
     return (
         _rows(counts, qids, rows.wids, rows.keys),
-        {"partitions": len(rows.wids), **stats},
+        {"partitions": len(rows.wids), "rows": len(rows.times), **stats},
     )

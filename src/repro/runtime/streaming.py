@@ -5,8 +5,11 @@ once the stream passes the window's end, and events no open window uses
 are discarded. This driver keeps that contract with the batch core
 itself, :func:`sharon.run_plan_pandas`: it holds the events that still
 belong to an open window, and after each batch counts the windows the
-stream has just passed in one pass over those events, emits them and
-evicts the events that only closed windows used. Its state is therefore
+stream has just passed in one pass over those events, restricted to
+those windows' (event, window) rows, emits them and evicts the events
+that only closed windows used. Each window is thus counted once, by the
+pass that closes it, and a pass whose windows hold no event costs no
+kernel work. Its state is therefore
 the events of less than one WITHIN span, whatever the stream length, and
 its counts are the core's exact int64 counts — chunked results are
 identical to one-shot evaluation (tested).
@@ -18,6 +21,7 @@ import pandas as pd
 
 from ..core.model import Workload
 from .sharon import run_plan_pandas
+from .windows import check_times
 
 
 class MicroBatchExecutor:
@@ -30,13 +34,14 @@ class MicroBatchExecutor:
         self._held: list[pd.DataFrame] = []  # events of the open windows
         self._emitted: list[pd.DataFrame] = []  # counts of closed windows
         self._open = 0  # first window not yet emitted
-        self._last_time = -1
+        self._last_time: int | None = None  # None: no event seen yet
 
     def process_batch(self, batch: pd.DataFrame) -> None:
         if batch.empty:
             return
         tmin = int(batch["time"].min())
-        if tmin <= self._last_time:
+        check_times(tmin)
+        if self._last_time is not None and tmin <= self._last_time:
             raise ValueError(
                 f"batch starts at {tmin} but {self._last_time} already seen; "
                 "batches must be time-ordered and split between timestamps "
@@ -55,11 +60,13 @@ class MicroBatchExecutor:
         self._held = [held[held["time"].to_numpy() >= closed * q0.slide]]
         self._open = closed
 
-    def _counts(self, held: pd.DataFrame, stop: float = np.inf) -> pd.DataFrame:
-        """Counts of windows ``open <= wid < stop`` over the held events."""
-        counts, _ = run_plan_pandas(held, self.workload, None)
-        wid = counts["wid"].to_numpy()
-        return counts[(wid >= self._open) & (wid < stop)]
+    def _counts(self, held: pd.DataFrame, stop: int | None = None) -> pd.DataFrame:
+        """Counts of windows ``open <= wid < stop`` over the held events,
+        evaluating only those windows' rows."""
+        counts, _ = run_plan_pandas(
+            held, self.workload, None, first=self._open, stop=stop
+        )
+        return counts
 
     def results(self) -> pd.DataFrame:
         """Emitted counts plus the current counts of the open windows.

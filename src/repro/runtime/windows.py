@@ -1,10 +1,11 @@
 """Sliding-window assignment (Definition 2's WITHIN/SLIDE clause).
 
 An event at time t belongs to every window ``w_i = [i*slide,
-i*slide + within)`` with ``i >= 0`` that contains t. Following the
-paper's assumption 2, all queries of a workload share one (within,
-slide) pair, so the stream is exploded once for every engine — the
-replication factor ``ceil(within/slide)`` hits all engines equally.
+i*slide + within)`` with ``i >= 0`` that contains t. Windows start at
+time 0, so event times must not be negative. Following the paper's
+assumption 2, all queries of a workload share one (within, slide) pair,
+so the stream is exploded once for every engine — the replication
+factor ``ceil(within/slide)`` hits all engines equally.
 """
 from __future__ import annotations
 
@@ -22,22 +23,47 @@ def explode_windows(events: DataFrame, *, within: int, slide: int) -> DataFrame:
         F.lit(0), (F.floor((F.col("time") - F.lit(within)) / F.lit(slide)) + 1)
     )
     hi = F.floor(F.col("time") / F.lit(slide))
-    return events.withColumn("wid", F.explode(F.sequence(lo, hi)))
+    # An event in a gap of a slide > within stream has lo > hi, where
+    # sequence would count down; it belongs to no window.
+    return events.withColumn(
+        "wid", F.explode(F.when(lo <= hi, F.sequence(lo, hi)))
+    )
+
+
+def check_times(tmin: int) -> None:
+    """Reject a stream whose earliest event time ``tmin`` is negative:
+    windows start at time 0, so such events have no windows."""
+    if tmin < 0:
+        raise ValueError(
+            f"event time {tmin} is negative; windows start at time 0"
+        )
 
 
 def window_rows(
-    times: np.ndarray, *, within: int, slide: int
+    times: np.ndarray,
+    *,
+    within: int,
+    slide: int,
+    first: int = 0,
+    stop: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (event, window) relation on arrays: ``(src, wid)``, one entry
-    per event and window containing it, events in input order and each
-    event's windows ascending.
+    per event and window ``first <= wid < stop`` containing it (every
+    window by default), events in input order and each event's windows
+    ascending.
 
-    No per-event Python work: each event is repeated once per window it
-    falls in (``hi - lo + 1`` times, 0 for events in the gaps of a
-    ``slide > within`` stream), and its window ids are its first window
-    plus the row's offset within its run."""
-    lo = np.maximum(0, (times - within) // slide + 1)
-    reps = times // slide - lo + 1
+    No per-event Python work: each event is repeated once per window of
+    the range it falls in (``hi - lo + 1`` times, 0 for events in the
+    gaps of a ``slide > within`` stream or outside the range), and its
+    window ids are its first window plus the row's offset within its
+    run."""
+    if len(times):
+        check_times(int(times.min()))
+    lo = np.maximum(first, (times - within) // slide + 1)
+    hi = times // slide
+    if stop is not None:
+        hi = np.minimum(hi, stop - 1)
+    reps = np.maximum(hi - lo + 1, 0)
     src = np.repeat(np.arange(len(times)), reps)
     run_start = np.cumsum(reps) - reps
     wid = np.repeat(lo - run_start, reps) + np.arange(len(src))
@@ -73,10 +99,16 @@ class Partitioned(NamedTuple):
 
 
 def partition_rows(
-    events: pd.DataFrame, *, within: int, slide: int
+    events: pd.DataFrame,
+    *,
+    within: int,
+    slide: int,
+    first: int = 0,
+    stop: int | None = None,
 ) -> Partitioned:
-    """The (event, window) relation of :func:`window_rows`, cut into its
-    ``(wid, key)`` partitions without building an exploded frame.
+    """The (event, window) relation of :func:`window_rows` over windows
+    ``first <= wid < stop``, cut into its ``(wid, key)`` partitions
+    without building an exploded frame.
 
     Types and keys are encoded once on the raw events. Rows keep the
     stream's time order (the stream is sorted first if it is not), so
@@ -92,7 +124,7 @@ def partition_rows(
     if len(t) and (t[1:] < t[:-1]).any():
         by_time = np.argsort(t, kind="stable")
         t, codes, kcodes = t[by_time], codes[by_time], kcodes[by_time]
-    src, wid = window_rows(t, within=within, slide=slide)
+    src, wid = window_rows(t, within=within, slide=slide, first=first, stop=stop)
     n_keys = max(len(keys), 1)
     # Dense partition ids in (wid, key) order: a hash pass over the rows,
     # then a sort of the distinct (wid, key) slots only.

@@ -274,6 +274,22 @@ class TestTwoStepEngines:
         got = flink_like(sdf, wl).select("qid", "wid", "key", "cnt")
         assert_equivalent(got, _wl_sql(wl), ev=exploded)
 
+    def test_flink_like_gap_stream_against_oracle(self, spark):
+        # SLIDE > WITHIN: events between two windows belong to neither.
+        wl = purchase_workload(within=30, slide=100)
+        pdf = event_stream(
+            n_events=120,
+            types=sorted(wl.event_types),
+            n_keys=3,
+            duration=400,
+            seed=3,
+        )
+        exploded = explode_windows_pandas(pdf, within=30, slide=100)
+        assert len(exploded) < len(pdf)
+        got = flink_like(spark.createDataFrame(pdf), wl)
+        got = got.select("qid", "wid", "key", "cnt")
+        assert_equivalent(got, _wl_sql(wl), ev=exploded)
+
     def test_spass_like_against_oracle(self, spark):
         wl = purchase_workload(within=WITHIN, slide=SLIDE)
         pdf = event_stream(

@@ -1,13 +1,17 @@
 """Chunked micro-batch processing must be identical to one-shot batch
 evaluation, with bounded state: the driver holds only the events of open
 windows and emits a window's counts once the stream has passed it."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.model import Workload
+from repro.oracle_sql import workload_count_sql
+from repro.runtime import kernels, streaming
 from repro.runtime.sharon import run_plan_pandas
 from repro.runtime.streaming import MicroBatchExecutor, time_chunks
+from repro.runtime.windows import explode_windows_pandas, window_rows
 from repro.synth_data import event_stream
 from repro.workloads import traffic_workload
 
@@ -53,6 +57,70 @@ def test_chunked_equals_batch_across_seeds(seed):
     wl, pdf = make_stream(seed=seed, n=250)
     ex = feed(wl, time_chunks(pdf, 5))
     pd.testing.assert_frame_equal(canon(ex.results()), batch_result(wl, pdf))
+
+
+def oracle_counts(wl, pdf):
+    """The DuckDB oracle's (wid, key, qid, cnt) over the exploded stream."""
+    con = duckdb.connect()
+    try:
+        q0 = wl[0]
+        con.register("ev", explode_windows_pandas(pdf, within=q0.within, slide=q0.slide))
+        got = con.execute(workload_count_sql({q.qid: q.pattern for q in wl})).fetchdf()
+    finally:
+        con.close()
+    return canon(got.astype(np.int64))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The driver's ``run_plan_pandas`` passes, in order: each pass's
+    stats plus ``carries``, the kernels' carries it made."""
+    seen: list[dict] = []
+    carries = [0]
+    carry = kernels.TypeIndex.carry
+
+    def counted_carry(*args, **kwargs):
+        carries[0] += 1
+        return carry(*args, **kwargs)
+
+    def spy(*args, **kwargs):
+        before = carries[0]
+        counts, stats = run_plan_pandas(*args, **kwargs)
+        seen.append({**stats, "carries": carries[0] - before})
+        return counts, stats
+
+    monkeypatch.setattr(kernels.TypeIndex, "carry", counted_carry)
+    monkeypatch.setattr(streaming, "run_plan_pandas", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "within,slide", [(120, 60), (600, 60), (30, 100), (7, 3)]
+)
+@pytest.mark.parametrize("n_chunks", [1, 2, 3, 7, 25])
+def test_each_row_counted_once(passes, n_chunks, within, slide):
+    # WITHIN/SLIDE = 2 and 10, gaps between windows, and WITHIN no
+    # multiple of SLIDE: over a whole stream, the driver's passes
+    # evaluate each (event, window) row of the one-shot stream once.
+    wl, pdf = make_stream(seed=13, within=within, slide=slide)
+    got = canon(feed(wl, time_chunks(pdf, n_chunks)).results())
+    src, _ = window_rows(pdf["time"].to_numpy(), within=within, slide=slide)
+    assert sum(p["rows"] for p in passes) == len(src)
+    pd.testing.assert_frame_equal(got, batch_result(wl, pdf))
+    pd.testing.assert_frame_equal(got, oracle_counts(wl, pdf))
+
+
+def test_late_start(passes):
+    # Epoch-like times: the first batch closes windows 0 .. ~1.7e7 at
+    # once, none of which holds an event, and that pass does no work.
+    wl, pdf = make_stream(seed=17)
+    pdf = pdf.assign(time=pdf["time"] + 60 * 16_666_667)  # ~1e9, on a window start
+    ex = feed(wl, time_chunks(pdf, 25))
+    got = canon(ex.results())
+    assert passes[0]["rows"] == passes[0]["partitions"] == passes[0]["carries"] == 0
+    assert got["wid"].min() == 16_666_666
+    pd.testing.assert_frame_equal(got, batch_result(wl, pdf))
+    pd.testing.assert_frame_equal(got, oracle_counts(wl, pdf))
 
 
 class TestWindowLifecycle:
@@ -131,6 +199,16 @@ class TestBatchDiscipline:
         ex.process_batch(chunks[1])
         with pytest.raises(ValueError):
             ex.process_batch(chunks[0])
+
+    @pytest.mark.parametrize("t0", [-1, -60, -61, -500])
+    def test_negative_times_rejected(self, t0):
+        # Windows start at time 0: a first batch before it is refused
+        # as such, and the driver holds nothing.
+        wl, pdf = make_stream()
+        ex = MicroBatchExecutor(wl)
+        with pytest.raises(ValueError, match=f"event time {t0} is negative"):
+            ex.process_batch(pdf.assign(time=pdf["time"] - pdf["time"].min() + t0))
+        assert ex.n_state_counters == 0
 
     def test_empty_batch_ok(self):
         wl, pdf = make_stream()

@@ -13,6 +13,7 @@ from repro.runtime.windows import (
     explode_windows_pandas,
     n_windows,
     partition_rows,
+    window_rows,
 )
 from repro.synth_data import event_stream
 
@@ -49,16 +50,19 @@ class TestWindowMath:
         assert n_windows(0, slide=50) == 0
         assert n_windows(1, slide=50) == 1
 
-    def test_spark_matches_pandas(self, spark):
+    # (30, 100) leaves gaps between windows, where Spark's sequence(lo,
+    # hi) would count down; 7 is no multiple of 3.
+    @pytest.mark.parametrize("within,slide", [(120, 60), (30, 100), (7, 3)])
+    def test_spark_matches_pandas(self, spark, within, slide):
         pdf = event_stream(n_events=300, types=["A", "B"], duration=500, seed=2)
         got = (
-            explode_windows(spark.createDataFrame(pdf), within=120, slide=60)
+            explode_windows(spark.createDataFrame(pdf), within=within, slide=slide)
             .toPandas()
             .sort_values(["wid", "key", "time", "type"])
             .reset_index(drop=True)
         )
         want = (
-            explode_windows_pandas(pdf, within=120, slide=60)
+            explode_windows_pandas(pdf, within=within, slide=slide)
             .sort_values(["wid", "key", "time", "type"])
             .reset_index(drop=True)
         )
@@ -129,6 +133,39 @@ class TestVectorizedExplosion:
             out, explode_per_event(pdf, within=30, slide=100)
         )
 
+    @pytest.mark.parametrize(
+        "within,slide", [(120, 60), (600, 60), (30, 100), (7, 3)]
+    )
+    @pytest.mark.parametrize(
+        "first,stop", [(0, 3), (2, 9), (5, 6), (4, None), (50, 60)]
+    )
+    def test_window_range(self, within, slide, first, stop):
+        # A range keeps exactly the rows of its windows, in the same
+        # order as the full relation.
+        t = np.sort(random_stream(3, n=300, horizon=400)["time"].to_numpy())
+        src, wid = window_rows(t, within=within, slide=slide)
+        keep = (wid >= first) & (wid < (np.inf if stop is None else stop))
+        got = window_rows(t, within=within, slide=slide, first=first, stop=stop)
+        assert got[0].tolist() == src[keep].tolist()
+        assert got[1].tolist() == wid[keep].tolist()
+
+    @pytest.mark.parametrize("t", [-1, -49, -50, -51, -1000])
+    def test_negative_times_rejected(self, t):
+        # Windows start at time 0: an event before it is an input error,
+        # neither dropped nor given a window.
+        pdf = pd.DataFrame({"time": [t, 10], "key": [0, 0], "type": ["A", "B"]})
+        wl = Workload.from_patterns([("A", "B")], within=100, slide=50)
+        from repro.runtime.sharon import run_plan_pandas
+
+        for call in (
+            lambda: window_rows(pdf["time"].to_numpy(), within=100, slide=50),
+            lambda: explode_windows_pandas(pdf, within=100, slide=50),
+            lambda: run_plan_pandas(pdf, wl, None),
+            lambda: run_plan_pandas(pdf, wl, None, first=5, stop=6),
+        ):
+            with pytest.raises(ValueError, match=f"event time {t} is negative"):
+                call()
+
     def test_one_event(self):
         pdf = pd.DataFrame({"time": [250], "key": [3], "type": ["B"]})
         out = explode_windows_pandas(pdf, within=100, slide=30)
@@ -167,6 +204,7 @@ class TestVectorizedExplosion:
         assert list(counts.columns) == ["wid", "key", "qid", "cnt"]
         assert stats == {
             "partitions": 0,
+            "rows": 0,
             "c_builds": 0,
             "c_bytes": 0,
             "builds_forward": 0,
@@ -201,6 +239,21 @@ class TestPartitionRows:
             assert (got.times[rows] + wid * slide).tolist() == g["time"].tolist()
             assert [got.names[c] for c in got.codes[rows]] == g["type"].tolist()
             assert (got.times[rows] >= 0).all() and (got.times[rows] < within).all()
+
+    @pytest.mark.parametrize("within,slide", [(100, 30), (30, 100), (7, 3)])
+    def test_window_range(self, within, slide):
+        # A range's partitions are the full partitioning's partitions of
+        # those windows, with the same rows.
+        pdf = random_stream(4, n=300, horizon=400, n_keys=4)
+        full = partition_rows(pdf, within=within, slide=slide)
+        got = partition_rows(pdf, within=within, slide=slide, first=3, stop=8)
+        parts = np.flatnonzero((full.wids >= 3) & (full.wids < 8))
+        assert got.wids.tolist() == full.wids[parts].tolist()
+        assert got.keys.tolist() == full.keys[parts].tolist()
+        for p, q in enumerate(parts):
+            rows, want = got.pids == p, full.pids == q
+            assert got.times[rows].tolist() == full.times[want].tolist()
+            assert got.codes[rows].tolist() == full.codes[want].tolist()
 
     def test_partitions_in_key_order(self):
         # Keys numbered by value, not by first appearance; most
