@@ -26,7 +26,7 @@ def setup(spark):
     sdf = spark.createDataFrame(pdf).cache()
     sdf.count()
     cost = CostModel(wl, rates_from_stream(pdf, within=WITHIN, duration=DURATION))
-    plan = sharon_optimizer(wl, cost, decompose=True).plan
+    plan = sharon_optimizer(wl, cost).plan
     return wl, sdf, plan
 
 

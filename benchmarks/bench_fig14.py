@@ -17,7 +17,7 @@ def _setup(n_queries, evw=10000, plen=10, seed=1):
     wl = fig14_workload(n_queries, plen)
     pdf = _stream(wl, evw, n_keys=4, seed=seed)
     cost = CostModel(wl, rates_from_stream(pdf, within=WITHIN, duration=DURATION))
-    plan = sharon_optimizer(wl, cost, decompose=True).plan
+    plan = sharon_optimizer(wl, cost).plan
     return wl, pdf, plan
 
 

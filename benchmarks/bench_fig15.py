@@ -32,7 +32,7 @@ def test_fig15_sharon_shared_core(benchmark):
     wl = shared_core_workload(
         n_queries=20, pattern_len=10, family_size=4, core_frac=0.8
     )
-    benchmark(lambda: sharon_optimizer(wl, _cost(wl), decompose=True))
+    benchmark(lambda: sharon_optimizer(wl, _cost(wl)))
 
 
 def test_fig15_exhaustive(benchmark):

@@ -19,7 +19,7 @@ def setup():
     pdf = _stream(wl, 10000, n_keys=4, seed=4)
     cost = CostModel(wl, uniform_rates(wl.event_types, 2.0))
     greedy = greedy_optimizer(wl, cost)
-    optimal = sharon_optimizer(wl, cost, decompose=True, max_options=32)
+    optimal = sharon_optimizer(wl, cost, max_options=32)
     assert optimal.score > greedy.score  # the quality gap being measured
     return wl, pdf, {"greedy": greedy.plan, "optimal": optimal.plan}
 

@@ -10,15 +10,11 @@ from _common import emit
 
 
 def main() -> None:
-    from repro.experiments import (
-        fig14_events_sweep,
-        fig14_length_sweep,
-        fig14_queries_sweep,
-    )
+    from repro.experiments import fig14_sweep
 
-    emit("Fig 14(a,e): vary events per window", fig14_events_sweep())
-    emit("Fig 14(b,f,d): vary number of queries", fig14_queries_sweep())
-    emit("Fig 14(c,g,h): vary pattern length", fig14_length_sweep())
+    emit("Fig 14(a,e): vary events per window", fig14_sweep("events_per_window"))
+    emit("Fig 14(b,f,d): vary number of queries", fig14_sweep("n_queries"))
+    emit("Fig 14(c,g,h): vary pattern length", fig14_sweep("pattern_len"))
 
 
 if __name__ == "__main__":

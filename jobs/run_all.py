@@ -8,9 +8,7 @@ from _common import emit, get_spark
 def main() -> None:
     from repro.experiments import (
         fig13_experiment,
-        fig14_events_sweep,
-        fig14_length_sweep,
-        fig14_queries_sweep,
+        fig14_sweep,
         fig15_experiment,
         fig16_experiment,
     )
@@ -18,9 +16,9 @@ def main() -> None:
     spark = get_spark("sharon-repro-all")
     emit("Fig 13: two-step vs online", fig13_experiment(spark))
     spark.stop()
-    emit("Fig 14(a,e): vary events per window", fig14_events_sweep())
-    emit("Fig 14(b,f,d): vary number of queries", fig14_queries_sweep())
-    emit("Fig 14(c,g,h): vary pattern length", fig14_length_sweep())
+    emit("Fig 14(a,e): vary events per window", fig14_sweep("events_per_window"))
+    emit("Fig 14(b,f,d): vary number of queries", fig14_sweep("n_queries"))
+    emit("Fig 14(c,g,h): vary pattern length", fig14_sweep("pattern_len"))
     emit("Fig 15: optimizer comparison", fig15_experiment())
     emit("Fig 16: plan quality", fig16_experiment())
 

@@ -223,7 +223,7 @@ def main() -> int:
         }
         for name in WORKLOADS:
             inputs = make_inputs(SPECS[name], SEED)
-            plan = sharon_optimizer(inputs.workload, inputs.cost, decompose=True).plan
+            plan = sharon_optimizer(inputs.workload, inputs.cost).plan
             result[name] = measure(
                 spark, inputs.events, inputs.workload, plan, JOBS, WARM_JOBS
             )

@@ -10,8 +10,8 @@ paper's numbers. Methodology notes (documented deviations):
 - Fig 13 (two-step vs online) runs the Spark SQL join engines directly —
   the gaps are orders of magnitude, far above Spark's per-job overhead.
   A DNF guard skips join configurations whose estimated sequence count
-  exceeds ``seq_cap`` (the paper likewise reports Flink/SPASS failing
-  beyond 6-7k events/window).
+  exceeds the engine's ``FIG13_DNF_CAPS`` entry (the paper likewise
+  reports Flink/SPASS failing beyond 6-7k events/window).
 - Fig 14/16 (online engines) time the driver-local kernel twin
   (:func:`repro.runtime.sharon.run_plan_pandas`) — identical code to the
   Spark path per partition (equality is oracle-tested) — because at
@@ -29,7 +29,7 @@ from statistics import median
 
 import pandas as pd
 
-from .core.cost import CostModel
+from .core.cost import CostModel, uniform_rates
 from .core.model import Workload
 from .core.optimizer import (
     exhaustive_optimizer,
@@ -42,6 +42,7 @@ from .runtime.twostep import flink_like, spass_like
 from .runtime.windows import n_windows
 from .workloads import (
     clustered_example_workload,
+    gwmin_trap_workload,
     rates_from_stream,
     shared_core_workload,
     stream_for_workload,
@@ -50,6 +51,33 @@ from .workloads import (
 DURATION = 3600
 WITHIN = 600
 SLIDE = 300
+# Driver-local engine calls are timed as the median of this many runs.
+TIME_REPEATS = 3
+
+# Fig 13: events per window swept, keys, stream seed, and each two-step
+# engine's DNF cap on estimated constructed sequences. Flink (full
+# sequence tuples) dies first; SPASS (shared construction,
+# endpoint-compressed) survives roughly one doubling longer.
+FIG13_EVENTS_PER_WINDOW = (500, 1000, 2000, 4000, 8000)
+FIG13_KEYS = 8
+FIG13_SEED = 0
+FIG13_DNF_CAPS = {"flink": 3e6, "spass": 5e7}
+# Fig 14: each sweep's values and stream seed. The parameters a sweep
+# does not vary keep FIG14_DEFAULTS.
+FIG14_SWEEPS = {
+    "events_per_window": ((5000, 10000, 20000, 40000), 1),
+    "n_queries": ((8, 16, 32, 64), 2),
+    "pattern_len": ((5, 10, 15, 20), 3),
+}
+FIG14_DEFAULTS = {"events_per_window": 10000, "n_queries": 20, "pattern_len": 10}
+# Fig 15: clusters of 7 queries swept, and the uniform per-type rate.
+FIG15_CLUSTERS = (1, 2, 3, 4, 5)
+FIG15_RATE = 2.0
+# Fig 16: blocks of 8 queries swept, events per window, keys, seed.
+FIG16_BLOCKS = (1, 2, 4, 8)
+FIG16_EVENTS_PER_WINDOW = 10000
+FIG16_KEYS = 4
+FIG16_SEED = 4
 
 
 def _stream(wl: Workload, evw: int, *, n_keys: int, seed: int, ramp: bool = False):
@@ -64,10 +92,10 @@ def _nwin() -> int:
     return n_windows(DURATION, slide=SLIDE)
 
 
-def _time_pandas(fn, repeats: int = 3) -> tuple[float, object]:
+def _time_pandas(fn) -> tuple[float, object]:
     """Median wall time of a driver-local engine call."""
     times, out = [], None
-    for _ in range(repeats):
+    for _ in range(TIME_REPEATS):
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
@@ -95,23 +123,11 @@ def _per_key_sequence_estimate(
 # ----------------------------------------------------------------- Fig 13
 
 
-def fig13_experiment(
-    spark,
-    *,
-    events_per_window=(500, 1000, 2000, 4000, 8000),
-    n_keys: int = 8,
-    flink_cap: float = 3e6,
-    spass_cap: float = 5e7,
-    seed: int = 0,
-) -> list[dict]:
+def fig13_experiment(spark) -> list[dict]:
     """Two-step (Flink-like, SPASS-like) vs online (A-Seq, Sharon):
     latency per window and throughput vs events per window, on the
-    Linear-Road-analogue ramping stream.
-
-    Separate DNF caps mirror the paper: Flink (full sequence tuples)
-    dies first; SPASS (shared construction, endpoint-compressed) survives
-    roughly one doubling longer before its own blow-up.
-    """
+    Linear-Road-analogue ramping stream. Separate DNF caps mirror the
+    paper (``FIG13_DNF_CAPS``)."""
     wl = shared_core_workload(
         n_queries=6,
         pattern_len=4,
@@ -126,24 +142,23 @@ def fig13_experiment(
     flink_like(warm, wl).count()
     run_plan(warm, wl, None).count()
     rows: list[dict] = []
-    for evw in events_per_window:
-        pdf = _stream(wl, evw, n_keys=n_keys, seed=seed, ramp=True)
+    for evw in FIG13_EVENTS_PER_WINDOW:
+        pdf = _stream(wl, evw, n_keys=FIG13_KEYS, seed=FIG13_SEED, ramp=True)
         sdf = spark.createDataFrame(pdf).cache()
         sdf.count()
         rates = rates_from_stream(pdf, within=WITHIN, duration=DURATION)
         cost = CostModel(wl, rates)
-        plan = sharon_optimizer(wl, cost, decompose=True).plan
-        est = _per_key_sequence_estimate(wl, rates, n_keys)
+        plan = sharon_optimizer(wl, cost).plan
+        est = _per_key_sequence_estimate(wl, rates, FIG13_KEYS)
         engines = {
             "flink": lambda: flink_like(sdf, wl),
             "spass": lambda: spass_like(sdf, wl, plan),
             "aseq": lambda: run_plan(sdf, wl, None),
             "sharon": lambda: run_plan(sdf, wl, plan),
         }
-        caps = {"flink": flink_cap, "spass": spass_cap}
         for name, build in engines.items():
-            two_step = name in ("flink", "spass")
-            if two_step and est > caps[name]:
+            two_step = name in FIG13_DNF_CAPS
+            if two_step and est > FIG13_DNF_CAPS[name]:
                 rows.append(
                     {
                         "engine": name,
@@ -178,7 +193,7 @@ def _fig14_point(
 ) -> list[dict]:
     rates = rates_from_stream(pdf, within=WITHIN, duration=DURATION)
     cost = CostModel(wl, rates)
-    plan = sharon_optimizer(wl, cost, decompose=True).plan
+    plan = sharon_optimizer(wl, cost).plan
     rows = []
     for engine, p in (("aseq", None), ("sharon", plan)):
         wall, (_, stats) = _time_pandas(lambda p=p: run_plan_pandas(pdf, wl, p))
@@ -214,56 +229,31 @@ def fig14_workload(n_queries: int, pattern_len: int = 10) -> Workload:
     )
 
 
-def fig14_events_sweep(
-    *, events_per_window=(5000, 10000, 20000, 40000), n_queries=20, seed=1
-) -> list[dict]:
-    wl = fig14_workload(n_queries)
+def fig14_sweep(label: str) -> list[dict]:
+    """Fig 14's sweep over ``label``, one of ``FIG14_SWEEPS``."""
+    values, seed = FIG14_SWEEPS[label]
     rows = []
-    for evw in events_per_window:
-        pdf = _stream(wl, evw, n_keys=4, seed=seed)
-        rows += _fig14_point(wl, pdf, label="events_per_window", value=evw)
-    return rows
-
-
-def fig14_queries_sweep(
-    *, n_queries=(8, 16, 32, 64), evw=10000, seed=2
-) -> list[dict]:
-    rows = []
-    for nq in n_queries:
-        wl = fig14_workload(nq)
-        pdf = _stream(wl, evw, n_keys=4, seed=seed)
-        rows += _fig14_point(wl, pdf, label="n_queries", value=nq)
-    return rows
-
-
-def fig14_length_sweep(
-    *, lengths=(5, 10, 15, 20), n_queries=20, evw=10000, seed=3
-) -> list[dict]:
-    rows = []
-    for plen in lengths:
-        wl = fig14_workload(n_queries, plen)
-        pdf = _stream(wl, evw, n_keys=4, seed=seed)
-        rows += _fig14_point(wl, pdf, label="pattern_len", value=plen)
+    for value in values:
+        point = {**FIG14_DEFAULTS, label: value}
+        wl = fig14_workload(point["n_queries"], point["pattern_len"])
+        pdf = _stream(wl, point["events_per_window"], n_keys=4, seed=seed)
+        rows += _fig14_point(wl, pdf, label=label, value=value)
     return rows
 
 
 # ----------------------------------------------------------------- Fig 15
 
 
-def fig15_experiment(
-    *, cluster_counts=(1, 2, 3, 4, 5), rate: float = 2.0
-) -> list[dict]:
+def fig15_experiment() -> list[dict]:
     """Optimizer latency and memory: Sharon (SO, the paper's as-printed
     finder) vs greedy (GO) vs exhaustive (EO), varying workload size
     (7 queries per cluster).
     Uniform low per-type rate keeps candidates beneficial, matching the
     regime where the paper's optimizers have work to do."""
-    from .core.cost import uniform_rates
-
     rows = []
-    for k in cluster_counts:
+    for k in FIG15_CLUSTERS:
         wl = clustered_example_workload(n_clusters=k)
-        cost = CostModel(wl, uniform_rates(wl.event_types, rate))
+        cost = CostModel(wl, uniform_rates(wl.event_types, FIG15_RATE))
         for name, runner in (
             ("greedy", lambda: greedy_optimizer(wl, cost)),
             ("sharon", lambda: sharon_optimizer(wl, cost, decompose=False)),
@@ -303,21 +293,18 @@ def fig15_experiment(
 # ----------------------------------------------------------------- Fig 16
 
 
-def fig16_experiment(
-    *, block_counts=(1, 2, 4, 8), evw: int = 10000, n_keys: int = 4, seed: int = 4
-) -> list[dict]:
+def fig16_experiment() -> list[dict]:
     """Executor latency/memory when guided by a greedily chosen plan vs
     an optimal plan (Sharon optimizer), on star-shaped workloads (8
     queries per block) where GWMIN's weight/(degree+1) rule provably
     picks the sub-optimal hub candidate (Example 12's structure at
     scale)."""
-    from .core.cost import uniform_rates
-    from .workloads import gwmin_trap_workload
-
     rows = []
-    for k in block_counts:
+    for k in FIG16_BLOCKS:
         wl = gwmin_trap_workload(n_blocks=k, within=WITHIN, slide=SLIDE)
-        pdf = _stream(wl, evw, n_keys=n_keys, seed=seed)
+        pdf = _stream(
+            wl, FIG16_EVENTS_PER_WINDOW, n_keys=FIG16_KEYS, seed=FIG16_SEED
+        )
         # Plan under uniform estimated rates (the optimizer's statistics;
         # planning and execution statistics differ in practice too). The
         # uniform-rate Sharon graph is exactly the star structure where
@@ -328,9 +315,7 @@ def fig16_experiment(
         )
         plans = {
             "greedy_plan": greedy_optimizer(wl, cost),
-            "optimal_plan": sharon_optimizer(
-                wl, cost, decompose=True, max_options=32
-            ),
+            "optimal_plan": sharon_optimizer(wl, cost, max_options=32),
         }
         for name, res in plans.items():
             wall, (_, stats) = _time_pandas(

@@ -29,18 +29,21 @@ gathers over all partitions, never a loop over partitions.
   START ``s`` to END ``e`` (p sits mid-query; Figure 7's
   ``count(c3, D)`` rows). The C-matrix is block-diagonal over
   partitions; only the blocks are stored, flattened.
-- :func:`eval_query` / :func:`count_queries` compose a query's compiled
-  segments (Example 3's ``count(A,B) x count(c3,D)``) and end with one
-  total per partition, again a ``csp`` difference at partition bounds.
+- :func:`count_queries`, the one evaluation call, composes each
+  query's compiled segments (Example 3's ``count(A,B) x count(c3,D)``)
+  and ends with one total per partition, again a ``csp`` difference at
+  partition bounds.
 
 **Counts are exact int64.** The kernels do only ring operations
 (``+``, ``-``, ``*``), so int64 arithmetic that wraps modulo 2^64 still
 yields every final count modulo 2^64, and the count exactly whenever it
 is below 2^63. The product of a query's per-type partition sizes bounds
-its count there; it is computed in float64 from the sizes the sort
-yields. Partitions whose bound reaches 2^63 are re-run in Python ints
-(object arrays) through the same kernels; a count that is still
->= 2^63 raises :class:`OverflowError`. Nothing wraps silently.
+its count there; it is computed in float64 from the partition bounds,
+and only when the largest per-(type, partition) size to the longest
+pattern's length reaches 2^63. Partitions whose bound reaches 2^63 are
+re-run in Python ints (object arrays) through the same kernels; a
+count that is still >= 2^63 raises :class:`OverflowError`. Nothing
+wraps silently.
 
 Timestamps may tie; sequence semantics require *strictly* increasing
 time, which every carry enforces by key value, never by row position.
@@ -78,13 +81,12 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 class TypeEvents(NamedTuple):
     """One event type's events over all partitions, ordered by
-    ``(partition, time)``: composite ``keys``, partition ids ``pids``,
-    row positions ``pos`` in the index's input, and ``bounds`` (length
-    P + 1): partition p's events are ``bounds[p]:bounds[p + 1]``."""
+    ``(partition, time)``: composite ``keys``, partition ids ``pids``
+    and ``bounds`` (length P + 1): partition p's events are
+    ``bounds[p]:bounds[p + 1]``."""
 
     keys: np.ndarray
     pids: np.ndarray
-    pos: np.ndarray
     bounds: np.ndarray
 
 
@@ -129,17 +131,18 @@ class TypeIndex:
         order = np.argsort(
             slot.astype(np.min_scalar_type(max(T * P - 1, 0))), kind="stable"
         )
-        self._order, self._pids = order, pids[order]
+        self._pids = pids[order]
         self._keys = self._pids * span + (times[order] - tmin)
-        sizes = np.bincount(slot, minlength=T * P).reshape(T, P)
+        sizes = np.bincount(slot, minlength=T * P)
         self._cuts = np.concatenate(([0], np.cumsum(sizes)))
         self._by_type: dict[str, TypeEvents] = {}
         self._empty = TypeEvents(
-            self._keys[:0], pids[:0], order[:0], np.zeros(P + 1, dtype=np.int64)
+            self._keys[:0], pids[:0], np.zeros(P + 1, dtype=np.int64)
         )
-        # Per-type partition sizes, a zero row last for absent types.
-        self._sizes = np.vstack([sizes, np.zeros((1, P))]).astype(np.float64)
-        self.n_rows_max = int(sizes.sum(axis=0).max()) if P else 0
+        # The largest partition, and the most events of one type in one
+        # partition.
+        self.n_rows_max = int(sizes.reshape(T, P).sum(axis=0).max()) if P else 0
+        self.n_type_max = int(sizes.max(initial=0))
         self._links: dict[tuple[str, str, bool], tuple] = {}
 
     def of(self, t: str) -> TypeEvents:
@@ -153,15 +156,17 @@ class TypeIndex:
             bounds = self._cuts[c * self.n_parts : (c + 1) * self.n_parts + 1]
             a, b = int(bounds[0]), int(bounds[-1])
             entry = self._by_type[t] = TypeEvents(
-                self._keys[a:b], self._pids[a:b], self._order[a:b], bounds - a
+                self._keys[a:b], self._pids[a:b], bounds - a
             )
         return entry
 
     def size_bound(self, pattern: Sequence[str]) -> np.ndarray:
         """Per partition: the product of the pattern's per-type event
         counts, an upper bound on its sequence count (float64)."""
-        rows = [self._code.get(t, len(self.names)) for t in pattern]
-        return self._sizes[rows].prod(axis=0)
+        bound = np.ones(self.n_parts)
+        for t in pattern:
+            bound *= np.diff(self.of(t).bounds)
+        return bound
 
     def link(
         self, src: str, dst: str, after: bool = False
@@ -426,28 +431,33 @@ def _query_totals(cache: SharedCache, segments: list[Segment]) -> np.ndarray:
 
 def count_queries(
     cache: SharedCache, queries: Sequence[list[Segment]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact COUNT(*) of every query in every partition of the cache.
+) -> tuple[np.ndarray, dict]:
+    """Exact COUNT(*) of every query in every partition of the cache, in
+    one pass: each chain level of each query runs once over all
+    partitions, and each shared aggregate is built once for all of them.
 
-    Returns ``(counts, exact_parts)``: ``counts[i, p]`` (int64) is query
-    i's count in partition p, and ``exact_parts`` lists the partitions
-    re-run in Python ints because some query's size bound reached 2^63.
-    Raises OverflowError when such a count is 2^63 or more."""
+    Returns ``(counts, stats)``: ``counts[i, p]`` (int64) is query i's
+    count in partition p, and ``stats`` the pass's kernel figures: shared
+    builds in total (``c_builds``) and by kind, their bytes, segments
+    evaluated, the largest partition, and ``exact_fallback_partitions``,
+    the partitions re-run in Python ints because some query's size bound
+    reached 2^63. Raises OverflowError when such a count is 2^63 or
+    more."""
     index = cache.index
     counts = np.zeros((len(queries), index.n_parts), dtype=np.int64)
-    if not index.n_parts:  # e.g. a streaming pass whose windows hold no event
-        return counts, np.zeros(0, dtype=np.intp)
     bound = np.zeros(index.n_parts)
     patterns = [[t for seg in segments for t in seg.pattern] for segments in queries]
-    # No count can reach 2^63 when the largest partition's size to the
-    # longest pattern's length stays below it.
+    # A size bound is a product of at most ``longest`` per-(type,
+    # partition) sizes, so no count can reach 2^63 when the largest such
+    # size to that power stays below it.
     longest = max(map(len, patterns), default=0)
-    if float(index.n_rows_max) ** longest >= _INT64_SAFE:
+    if float(index.n_type_max) ** longest >= _INT64_SAFE:
         for pattern in patterns:
             bound = np.maximum(bound, index.size_bound(pattern))
     exact_parts = np.flatnonzero(bound >= _INT64_SAFE)
-    for i, segments in enumerate(queries):
-        counts[i] = _query_totals(cache, segments)
+    if index.n_parts:  # none in a streaming pass whose windows hold no event
+        for i, segments in enumerate(queries):
+            counts[i] = _query_totals(cache, segments)
     if len(exact_parts):
         exact = cache.exact(exact_parts)
         for i, segments in enumerate(queries):
@@ -458,30 +468,6 @@ def count_queries(
                     "(beyond the int64 count column)"
                 )
             counts[i, exact_parts] = big.astype(np.int64)
-    return counts, exact_parts
-
-
-def evaluate_partitions(
-    times: np.ndarray,
-    codes: np.ndarray,
-    names: Sequence[str],
-    pids: np.ndarray | None,
-    n_parts: int,
-    queries: Sequence[list[Segment]],
-) -> tuple[np.ndarray, dict]:
-    """Evaluate every query over every ``(window, key)`` partition in one
-    pass: each chain level of each query runs once over all partitions,
-    and each shared aggregate is built once for all of them.
-
-    Rows of a partition must be in ascending time order; ``codes``
-    index ``names`` and ``pids`` give each row's partition (None: one
-    partition). Returns ``(counts, stats)`` with ``counts[i, p]`` the
-    exact int64 COUNT(*) of ``queries[i]`` in partition p, and the
-    pass's kernel figures: shared builds in total (``c_builds``, per
-    pass) and by kind, their bytes, segments evaluated, the largest
-    partition and the partitions re-run in Python ints."""
-    cache = SharedCache(times, codes, names, pids=pids, n_parts=n_parts)
-    counts, exact_parts = count_queries(cache, queries)
     stats = {
         "c_builds": cache.builds,
         "c_bytes": cache.state_bytes,
@@ -490,7 +476,7 @@ def evaluate_partitions(
             for kind in ("forward", "reverse", "cmatrix")
         },
         "segments": sum(len(segments) for segments in queries),
-        "max_partition_rows": cache.index.n_rows_max,
+        "max_partition_rows": index.n_rows_max,
         "exact_fallback_partitions": len(exact_parts),
     }
     return counts, stats
@@ -513,11 +499,10 @@ def brute_force_count(
     times: np.ndarray,
     types: np.ndarray,
     pattern: tuple[str, ...],
-    exact: bool = False,
-) -> float | int:
+) -> int:
     """Reference oracle: O(l n^2) dynamic program over raw events, written
     independently of the chain trick (used only in tests on small data).
-    Counts in Python ints; ``exact`` returns the int, else a float.
+    Counts in Python ints.
     """
     n = len(times)
     # dp[i]: sequences of pattern[:j+1] ending exactly at event i.
@@ -529,4 +514,4 @@ def brute_force_count(
                 continue
             nxt[i] = sum(dp[k] for k in range(n) if times[k] < times[i])
         dp = nxt
-    return sum(dp) if exact else float(sum(dp))
+    return sum(dp)

@@ -4,10 +4,11 @@ distributed dataflow.
 ``compile_plan`` turns a workload + sharing plan into per-query segments
 (the "compiled sharing graph"). :func:`run_plan_pandas` counts a pandas
 stream: it explodes the stream into sliding windows, cuts the ``(wid,
-key)`` partitions and runs the kernels' one-pass core,
-:func:`kernels.evaluate_partitions`, once over all of them. Every shared
-pattern's aggregate is built once per call and reused by all queries
-sharing it; residual prefix/suffix segments run per query. ``run_plan``
+key)`` partitions, indexes them in one :class:`kernels.SharedCache` and
+runs the kernels' one evaluation call, :func:`kernels.count_queries`,
+once over all of them. Every shared pattern's aggregate is built once
+per call and reused by all queries sharing it; residual prefix/suffix
+segments run per query. ``run_plan``
 is the same routine on Spark: the ``WHERE [key]`` predicate makes keys
 independent, so the raw events are shuffled by ``key`` and each task
 runs :func:`run_plan_pandas` on the whole keys it owns, through
@@ -28,7 +29,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import LongType, StructField, StructType
 
 from ..core.model import SharingCandidate, Workload
-from .kernels import Segment, compile_segments, evaluate_partitions
+from .kernels import Segment, SharedCache, compile_segments, count_queries
 from .windows import partition_rows
 
 _OUT_COLUMNS = ["wid", "key", "qid", "cnt"]
@@ -108,8 +109,8 @@ def run_plan_pandas(
     stop: int | None = None,
 ) -> tuple[pd.DataFrame, dict]:
     """COUNT(*) per (window, key, query) over a pandas stream: one
-    :func:`evaluate_partitions` pass over every (wid, key) partition of
-    the windows ``first <= wid < stop`` (every window by default).
+    :func:`count_queries` pass over every (wid, key) partition of the
+    windows ``first <= wid < stop`` (every window by default).
 
     The events need not be in time order. This is the one evaluation
     routine: :func:`run_plan` runs it per Spark task and the streaming
@@ -124,10 +125,10 @@ def run_plan_pandas(
         events, within=q0.within, slide=q0.slide, first=first, stop=stop
     )
     compiled = compile_plan(workload, plan)
-    counts, stats = evaluate_partitions(
-        rows.times, rows.codes, rows.names, rows.pids, len(rows.wids),
-        list(compiled.values()),
+    cache = SharedCache(
+        rows.times, rows.codes, rows.names, pids=rows.pids, n_parts=len(rows.wids)
     )
+    counts, stats = count_queries(cache, list(compiled.values()))
     qids = np.array(list(compiled), dtype=np.int64)
     return (
         _rows(counts, qids, rows.wids, rows.keys),

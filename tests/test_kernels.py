@@ -13,8 +13,8 @@ from repro.runtime.kernels import (
     TypeIndex,
     brute_force_count,
     compile_segments,
+    count_queries,
     eval_query,
-    evaluate_partitions,
 )
 
 
@@ -28,7 +28,7 @@ def chain_counts(times, types, pattern):
     (nonzero only at events of the last type): its forward chain."""
     cache = SharedCache(times, types)
     out = np.zeros(len(times), dtype=np.int64)
-    out[cache.index.of(pattern[-1]).pos] = cache.get_forward(pattern)
+    out[types == pattern[-1]] = cache.get_forward(pattern)
     return out
 
 
@@ -37,8 +37,8 @@ def c_matrix(times, types, pattern):
     dense C[s, e])."""
     cache = SharedCache(times, types)
     blocks = cache.get(pattern)
-    starts = cache.index.of(pattern[0]).pos
-    ends = cache.index.of(pattern[-1]).pos
+    starts = np.flatnonzero(types == pattern[0])
+    ends = np.flatnonzero(types == pattern[-1])
     c = np.zeros((len(starts), len(ends)), dtype=np.int64)
     col = np.repeat(np.arange(len(ends)), np.diff(blocks.cols))
     c[blocks.rows, col] = blocks.vals
@@ -232,13 +232,9 @@ class TestIntCodedTypes:
         by_name = TypeIndex(times, types)
         by_code = TypeIndex(times, codes, names)
         for t in names:
-            code_pos, name_pos = by_code.of(t).pos, by_name.of(t).pos
-            assert by_code.times[code_pos].tolist() == by_name.times[name_pos].tolist()
-            assert (
-                code_pos.tolist()
-                == name_pos.tolist()
-                == np.flatnonzero(types == t).tolist()
-            )
+            # One partition: a key is the event's time offset.
+            want = (times[types == t] - times.min()).tolist()
+            assert by_code.of(t).keys.tolist() == by_name.of(t).keys.tolist() == want
 
     def test_shared_cache_over_codes(self):
         times, types = stream(
@@ -296,7 +292,7 @@ class TestExactCounts:
         times, types = blocks(LONG, 41)
         want = 41**10
         assert want == 13_422_659_310_152_401 and want > 2**53
-        assert brute_force_count(times, types, LONG, exact=True) == want
+        assert brute_force_count(times, types, LONG) == want
         assert eval_query(times, types, [Segment(LONG, False)]) == want
         segs = compile_segments(LONG, [LONG[3:7]])  # mid-query C-matrix
         assert eval_query(times, types, segs) == want
@@ -316,13 +312,35 @@ class TestExactCounts:
         pids = np.r_[np.zeros(len(small_t), int), np.ones(len(times), int)]
         names = list(LONG)
         codes = np.searchsorted(names, all_ty)
-        counts, stats = evaluate_partitions(
-            all_t, codes, names, pids, 2, [[Segment(LONG, False)]]
-        )
+        cache = SharedCache(all_t, codes, names, pids=pids, n_parts=2)
+        counts, stats = count_queries(cache, [[Segment(LONG, False)]])
         assert counts.dtype == np.int64
         assert counts.tolist() == [[2**10, 81]]
         assert stats["exact_fallback_partitions"] == 1
         assert eval_query(times, types, [Segment(LONG, False)]) == 81
+
+    @pytest.mark.parametrize("shared", [[], [LONG[3:7]]])
+    def test_big_partition_small_types_compute_no_bound(self, monkeypatch, shared):
+        # 200 events in one partition and 200^10 >= 2^63, but 20 events
+        # per type and 20^10 < 2^63: no count can overflow, so no
+        # query's size bound is computed.
+        times, types = blocks(LONG, 20)
+        times = np.random.default_rng(5).permutation(times)
+        order = np.argsort(times)
+        times, types = times[order], types[order]
+        assert 200.0**10 >= 2.0**63 > 20.0**10
+        calls = []
+        size_bound = TypeIndex.size_bound
+        monkeypatch.setattr(
+            TypeIndex, "size_bound",
+            lambda ix, pattern: calls.append(pattern) or size_bound(ix, pattern),
+        )
+        counts, stats = count_queries(
+            SharedCache(times, types), [compile_segments(LONG, shared)]
+        )
+        assert calls == []
+        assert stats["exact_fallback_partitions"] == 0
+        assert counts.tolist() == [[brute_force_count(times, types, LONG)]]
 
     @pytest.mark.parametrize("shared", [[], [LONG[:4]], [LONG[6:]], [LONG[2:5]]])
     def test_count_beyond_int64_raises(self, shared):
@@ -369,20 +387,18 @@ def test_one_pass_equals_per_partition_and_brute_force(data, extra_parts):
     names = ["D", "C", "B", "A"]
     codes = np.array([names.index(t) for t in types], dtype=np.int64)
     queries = [compile_segments(q, shared) for q, shared in PROPERTY_QUERIES]
-    counts, stats = evaluate_partitions(
-        times, codes, names, pids, n_parts, queries
+    counts, stats = count_queries(
+        SharedCache(times, codes, names, pids=pids, n_parts=n_parts), queries
     )
     assert counts.shape == (len(queries), n_parts)
     for p in range(n_parts):
         rows = pids == p
-        one, _ = evaluate_partitions(
-            times[rows], codes[rows], names, None, 1, queries
+        one, _ = count_queries(
+            SharedCache(times[rows], codes[rows], names), queries
         )
         assert counts[:, p].tolist() == one[:, 0].tolist()
         for i, (q, _) in enumerate(PROPERTY_QUERIES):
-            assert counts[i, p] == brute_force_count(
-                times[rows], types[rows], q, exact=True
-            )
+            assert counts[i, p] == brute_force_count(times[rows], types[rows], q)
     # Each shared aggregate is built once per pass, whatever the
     # number of partitions.
     assert (

@@ -1,6 +1,7 @@
-"""Every function, method and class under ``src/repro`` has a caller in
-the programs (``src/``, ``jobs/``, ``benchmarks/``, ``perfbench/``): a
-name only tests reach shows readers a capability nothing runs."""
+"""Every function, method, class and field under ``src/repro`` has a
+reader in the programs (``src/``, ``jobs/``, ``benchmarks/``,
+``perfbench/``): a name only tests reach shows readers a capability
+nothing runs."""
 import ast
 from pathlib import Path
 
@@ -18,6 +19,17 @@ ALLOWED = {
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _programs():
+    """(path, tree) of every program file."""
+    for d in PROGRAM_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def _in_src(path: Path) -> bool:
+    return path.is_relative_to(ROOT / "src" / "repro")
+
+
 def _scan(tree, defs, refs, enclosing=()):
     """Collect definition names into ``defs`` and Name/Attribute uses
     into ``refs``, skipping uses inside a definition of the same name."""
@@ -33,14 +45,43 @@ def _scan(tree, defs, refs, enclosing=()):
         _scan(node, defs, refs, inner)
 
 
+def _fields(cls: ast.ClassDef):
+    """The class's fields: names annotated in its body, and ``self.x``
+    assigned in its ``__init__``."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    yield sub.attr
+
+
 def test_every_src_name_has_a_program_caller():
     defs: set[str] = set()
     refs: set[str] = set()
-    for d in PROGRAM_DIRS:
-        for path in sorted((ROOT / d).rglob("*.py")):
-            found: set[str] = set()
-            _scan(ast.parse(path.read_text()), found, refs)
-            if path.is_relative_to(ROOT / "src" / "repro"):
-                defs |= found
+    for path, tree in _programs():
+        found: set[str] = set()
+        _scan(tree, found, refs)
+        if _in_src(path):
+            defs |= found
     orphans = {n for n in defs - refs - ALLOWED if not n.startswith("__")}
     assert not orphans, f"defined under src/repro but never used: {sorted(orphans)}"
+
+
+def test_every_src_field_is_read_by_a_program():
+    fields: set[tuple[str, str]] = set()
+    reads: set[str] = set()
+    for path, tree in _programs():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and _in_src(path):
+                fields |= {(node.name, f) for f in _fields(node)}
+    unread = sorted(f"{cls}.{f}" for cls, f in fields if f not in reads)
+    assert not unread, f"fields under src/repro that no program reads: {unread}"
