@@ -17,23 +17,48 @@ from .graph import SharonGraph, conflict_causing_queries
 from .model import SharingCandidate
 
 
+def _mask(qids) -> int:
+    """Query set as a bitmask: bit q is set for q in ``qids``."""
+    m = 0
+    for q in qids:
+        m |= 1 << q
+    return m
+
+
+def _bits(m: int) -> list[int]:
+    """The set bits of ``m`` as powers of two, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low)
+        m ^= low
+    return out
+
+
+def _causes(graph: SharonGraph, v: int, u: int) -> int:
+    """C(v, u) as a query bitmask."""
+    return _mask(
+        conflict_causing_queries(graph.cands[v], graph.occ[v], graph.cands[u], graph.occ[u])
+    )
+
+
 def expand_candidate(
     graph: SharonGraph,
-    v: SharingCandidate,
+    v: int,
     max_options: int = 128,
-    causes: list[frozenset[int]] | None = None,
+    causes: list[int] | None = None,
 ) -> list[SharingCandidate]:
-    """Algorithm 5: BFS over query-subset options of v.
+    """Algorithm 5: BFS over query-subset options of vertex v.
 
     For each conflict (v, u) and each non-empty combination C of its
     causing queries (Def 16: the complement is dropped from u's side by
     u's own options), the option (p, Q_p \\ C) is generated if it still
-    has > 1 query and is new.
+    has > 1 query and is new. v's own candidate comes first.
 
-    ``causes`` holds C(v, u) for each u in ``graph.neighbors(v)`` order
-    and is computed when not given. An option keeps v's pattern and a
-    subset of v's queries, so its causing queries against u are just
-    ``option.qids & C(v, u)``.
+    ``causes`` holds C(v, u) as a query bitmask for each neighbour u in
+    vertex order, and is computed when not given. An option keeps v's
+    pattern and a subset of v's queries, so its causing queries against
+    u are just ``option & C(v, u)``; the BFS runs on query bitmasks.
 
     ``max_options`` bounds the option set: Eq 14 makes the worst case
     exponential in the number of conflict-causing queries (the paper
@@ -42,39 +67,53 @@ def expand_candidate(
     achievable score, never produce an invalid plan — and BFS order
     keeps the largest query sets (highest-benefit options) first.
     """
+    cand = graph.cands[v]
     if causes is None:
-        causes = [
-            conflict_causing_queries(graph.workload, v, u)
-            for u in graph.neighbors(v)
-        ]
-    options: dict[frozenset[int], SharingCandidate] = {v.qids: v}
-    current = [v]
-    while current and len(options) < max_options:
-        nxt: list[SharingCandidate] = []
-        for cand in current:
+        causes = [_causes(graph, v, u) for u in sorted(graph.adj[v])]
+    root = _mask(cand.qids)
+    found = [root]
+    seen = {root}
+    # (queries, max_drop) -> every combination of up to max_drop of those
+    # queries, as a bitmask, in ``combinations`` order.
+    drops: dict[tuple[int, int], list[int]] = {}
+    current = found
+    while current and len(found) < max_options:
+        nxt: list[int] = []
+        for m in current:
             # Dropping more than |Q| - 2 queries leaves no valid option.
-            max_drop = len(cand.qids) - 2
+            max_drop = m.bit_count() - 2
+            if max_drop < 1:
+                continue
             for cause in causes:
-                qc = sorted(cand.qids & cause)
-                for r in range(1, min(len(qc), max_drop) + 1):
-                    for combo in combinations(qc, r):
-                        qp = cand.qids.difference(combo)
-                        if qp not in options:
-                            child = SharingCandidate(v.p, qp)
-                            options[qp] = child
-                            nxt.append(child)
-                            if len(options) >= max_options:
-                                return list(options.values())
+                qc = m & cause
+                if not qc:
+                    continue
+                subsets = drops.get((qc, max_drop))
+                if subsets is None:
+                    bits = _bits(qc)
+                    subsets = drops[qc, max_drop] = [
+                        sum(combo)
+                        for r in range(1, min(len(bits), max_drop) + 1)
+                        for combo in combinations(bits, r)
+                    ]
+                for drop in subsets:
+                    child = m - drop
+                    if child not in seen:
+                        seen.add(child)
+                        found.append(child)
+                        nxt.append(child)
+                        if len(found) >= max_options:
+                            return _options(cand, found)
         current = nxt
-    return list(options.values())
+    return _options(cand, found)
 
 
-def _mask(qids: frozenset[int]) -> int:
-    """Query set as a bitmask: bit q is set for q in ``qids``."""
-    m = 0
-    for q in qids:
-        m |= 1 << q
-    return m
+def _options(cand: SharingCandidate, masks: list[int]) -> list[SharingCandidate]:
+    """``cand`` itself, then its options on the query sets ``masks[1:]``."""
+    return [cand] + [
+        SharingCandidate(cand.p, frozenset(q for q in cand.qids if m >> q & 1))
+        for m in masks[1:]
+    ]
 
 
 def expand_graph(
@@ -91,53 +130,52 @@ def expand_graph(
     conflicts of ``graph``'s vertices (as ``build_graph`` makes them).
     Options a, b of base candidates v, u have a ⊆ Q_v, b ⊆ Q_u, so they
     conflict iff a ∩ b meets C(v, u) when (v, u) is a base edge, iff
-    a ∩ b is non-empty when v = u, and never otherwise. Each adjacency
-    set receives its members in vertex order, exactly as pairwise
-    ``add_vertex`` insertion would. Alg 5 walks each candidate's
-    neighbours in vertex order, so the options ``max_options`` keeps do
-    not depend on the order of a set of strings.
+    a ∩ b is non-empty when v = u, and never otherwise. C(v, u) comes
+    from the occurrences ``graph`` holds, once per base edge; an option
+    shares its base's occurrences. Options are numbered base by base.
     """
-    base = graph.vertices
-    pos = {v.key(): i for i, v in enumerate(base)}
-    # Neighbour positions in vertex order, as ``graph.neighbors`` lists them.
-    nbrs = [sorted(pos[uk] for uk in graph.adj[v.key()]) for v in base]
+    base = list(graph.adj)
+    nbrs = {v: sorted(graph.adj[v]) for v in base}
     # C(v, u) once per base edge; it is symmetric in v and u.
-    cause: dict[tuple[int, int], frozenset[int]] = {}
-    for i, v in enumerate(base):
-        for j in nbrs[i]:
-            if (i, j) not in cause:
-                cause[i, j] = cause[j, i] = conflict_causing_queries(
-                    graph.workload, v, base[j]
-                )
+    cause: dict[tuple[int, int], int] = {}
+    for v in base:
+        for u in nbrs[v]:
+            if (v, u) not in cause:
+                cause[v, u] = cause[u, v] = _causes(graph, v, u)
 
     # Options of distinct base candidates differ: they keep their base's
     # pattern, and ``build_graph`` makes one candidate per pattern.
-    opts: list[SharingCandidate] = []
-    weights: list[float] = []
-    groups: dict[int, list[int]] = {}  # base index -> its options' indices
-    for i, v in enumerate(base):
-        causes = [cause[i, j] for j in nbrs[i]]
-        for opt in expand_candidate(graph, v, max_options, causes):
-            w = graph.weight(v) if opt.key() == v.key() else cost.bvalue(opt)
+    gx = SharonGraph(graph.workload)
+    groups: dict[int, list[int]] = {}  # base vertex -> its options
+    for v in base:
+        cand = graph.cands[v]
+        for opt in expand_candidate(graph, v, max_options, [cause[v, u] for u in nbrs[v]]):
+            w = graph.weights[v] if opt is cand else cost.bvalue(opt)
             if w > 0:
-                groups.setdefault(i, []).append(len(opts))
-                opts.append(opt)
-                weights.append(w)
+                groups.setdefault(v, []).append(len(gx.cands))
+                gx.cands.append(opt)
+                gx.weights.append(w)
+                gx.occ.append(graph.occ[v])
 
-    masks = [_mask(o.qids) for o in opts]
-    cause_mask = {e: _mask(qs) for e, qs in cause.items()}
-    earlier: list[list[int]] = []  # per option: adjacent earlier options
-    for i, group in groups.items():
-        lower = [j for j in nbrs[i] if j < i and j in groups]
-        for n, a in enumerate(group):
-            # Groups follow base order, so a runs through 0, 1, ... and
-            # the options of lower base neighbours, then this group's,
-            # list earlier vertices in order.
-            adjacent: list[int] = []
-            for j in lower:
-                shared = masks[a] & cause_mask[i, j]
-                if shared:
-                    adjacent += [b for b in groups[j] if masks[b] & shared]
-            adjacent += [b for b in group[:n] if masks[b] & masks[a]]
-            earlier.append(adjacent)
-    return SharonGraph.from_edges(graph.workload, opts, weights, earlier)
+    # holders[v][q]: the options of v that hold query q.
+    holders: dict[int, dict[int, set[int]]] = {}
+    for v, group in groups.items():
+        by_query = holders[v] = {q: set() for q in graph.cands[v].qids}
+        for a in group:
+            for q in gx.cands[a].qids:
+                by_query[q].add(a)
+    for v, group in groups.items():
+        # near[q]: the options that conflict with any option of v holding
+        # q — v's own, and u's for each base edge (v, u) with q in C(v, u).
+        near = {q: set(s) for q, s in holders[v].items()}
+        for u in nbrs[v]:
+            if u in holders:
+                c = cause[v, u]
+                for q, s in holders[u].items():
+                    if c >> q & 1:
+                        near[q] |= s
+        for a in group:
+            adj = set().union(*[near[q] for q in gx.cands[a].qids])
+            adj.discard(a)
+            gx.adj[a] = adj
+    return gx

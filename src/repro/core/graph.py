@@ -8,9 +8,11 @@ occurs at most once per pattern, positional overlap coincides with the
 paper's suffix-equals-prefix formulation, and it extends naturally to
 repeated types (Section 7.3).
 
-The graph is an adjacency-list structure; ``weights`` may be injected
-explicitly (used by tests that pin the paper's Figure 4 weights) or
-computed from a :class:`~repro.core.cost.CostModel`.
+A vertex is numbered by its position in construction order; weights,
+occurrences and adjacency sets are indexed by that number.
+``weights`` may be injected explicitly (used by tests that pin the
+paper's Figure 4 weights) or computed from a
+:class:`~repro.core.cost.CostModel`.
 """
 from __future__ import annotations
 
@@ -19,103 +21,83 @@ from dataclasses import dataclass, field
 from .cost import CostModel
 from .model import Pattern, SharingCandidate, Workload, occurrence_ranges
 
+# Query id -> the positions of that query a pattern covers, as a bitmask:
+# bit i is set when some occurrence's [start, end) range holds i.
+Occurrences = dict[int, int]
 
-def conflicts_in_query(query_pattern: Pattern, pa: Pattern, pb: Pattern) -> bool:
-    """True if pa and pb overlap positionally somewhere in this query."""
-    ra = occurrence_ranges(query_pattern, pa)
-    rb = occurrence_ranges(query_pattern, pb)
-    return any(sa < eb and sb < ea for (sa, ea) in ra for (sb, eb) in rb)
+
+def occurrences(workload: Workload, cand: SharingCandidate) -> Occurrences:
+    """Where ``cand``'s pattern occurs in each of its queries."""
+    out: Occurrences = {}
+    for q in cand.qids:
+        covered = 0
+        for start, end in occurrence_ranges(workload[q].pattern, cand.p):
+            covered |= (1 << end) - (1 << start)
+        out[q] = covered
+    return out
 
 
 def conflict_causing_queries(
-    workload: Workload, a: SharingCandidate, b: SharingCandidate
+    a: SharingCandidate, occ_a: Occurrences, b: SharingCandidate, occ_b: Occurrences
 ) -> frozenset[int]:
     """Definition 6's causes: the queries of Q_A ∩ Q_B where the patterns
-    overlap. Two candidates for the *same* pattern (options from Section
-    7.1) overlap in every query they share — a pattern overlaps itself."""
+    overlap, read off their occurrences (two sets of ranges overlap iff
+    the positions they cover meet). Two candidates for the *same*
+    pattern (options from Section 7.1) overlap in every query they share
+    — a pattern overlaps itself."""
     common = a.qids & b.qids
     if not common or a.p == b.p:
         return common
-    return frozenset(
-        q for q in common if conflicts_in_query(workload[q].pattern, a.p, b.p)
-    )
-
-
-def in_conflict(
-    workload: Workload, a: SharingCandidate, b: SharingCandidate
-) -> bool:
-    """Definition 6: some query in Q_A ∩ Q_B where the patterns overlap."""
-    return bool(conflict_causing_queries(workload, a, b))
+    return frozenset(q for q in common if occ_a[q] & occ_b[q])
 
 
 @dataclass
 class SharonGraph:
-    """Adjacency-list Sharon graph (Definition 10).
+    """Adjacency-set Sharon graph (Definition 10) on numbered vertices.
 
-    ``index`` maps each vertex key to its candidate in vertex order;
-    ``weights`` and ``adj`` are keyed the same way.
+    Vertex ``v`` is ``cands[v]``, with weight ``weights[v]`` and its
+    pattern's occurrences ``occ[v]``. ``adj`` maps each vertex still
+    in the graph, in vertex order, to the set of its neighbours. Removing
+    a vertex drops it from ``adj`` only, so the numbers of the others
+    stay; copies share the per-vertex lists.
     """
 
     workload: Workload
-    index: dict[tuple, SharingCandidate] = field(default_factory=dict, repr=False)
-    weights: dict[tuple, float] = field(default_factory=dict)
-    adj: dict[tuple, set[tuple]] = field(default_factory=dict)
-
-    @classmethod
-    def from_edges(
-        cls,
-        workload: Workload,
-        vertices: list[SharingCandidate],
-        weights: list[float],
-        earlier: list[list[int]],
-    ) -> "SharonGraph":
-        """The graph on ``vertices``, in this order and with these
-        ``weights``, where vertex ``a`` is adjacent to the vertices at the
-        positions ``earlier[a]`` (each below ``a``). Adjacency sets receive
-        their members in the order of ``a``, then of ``earlier[a]``."""
-        keys = [v.key() for v in vertices]
-        adj: dict[tuple, set[tuple]] = {k: set() for k in keys}
-        for ka, bs in zip(keys, earlier):
-            for b in bs:
-                adj[ka].add(keys[b])
-                adj[keys[b]].add(ka)
-        return cls(workload, dict(zip(keys, vertices)), dict(zip(keys, weights)), adj)
+    cands: list[SharingCandidate] = field(default_factory=list, repr=False)
+    weights: list[float] = field(default_factory=list)
+    occ: list[Occurrences] = field(default_factory=list, repr=False)
+    adj: dict[int, set[int]] = field(default_factory=dict)
 
     @property
     def vertices(self) -> tuple[SharingCandidate, ...]:
-        return tuple(self.index.values())
+        return tuple(self.cands[v] for v in self.adj)
 
-    def add_vertex(self, cand: SharingCandidate, weight: float) -> None:
-        k = cand.key()
-        if k in self.adj:
-            raise ValueError(f"duplicate vertex {k}")
-        # Edges to existing vertices (Alg 1, Lines 6-8).
-        self.adj[k] = set()
-        for uk, u in self.index.items():
-            if in_conflict(self.workload, cand, u):
-                self.adj[k].add(uk)
-                self.adj[uk].add(k)
-        self.index[k] = cand
-        self.weights[k] = weight
+    def add_vertex(self, cand: SharingCandidate, weight: float) -> int:
+        """Alg 1, Lines 6-8: number ``cand``, join it to every vertex it
+        conflicts with, and return its number."""
+        occ = occurrences(self.workload, cand)
+        v = len(self.cands)
+        nbrs: set[int] = set()
+        for u in self.adj:
+            c = self.cands[u]
+            if c.p == cand.p and c.qids == cand.qids:
+                raise ValueError(f"duplicate vertex {cand.key()}")
+            if conflict_causing_queries(cand, occ, c, self.occ[u]):
+                nbrs.add(u)
+        for u in nbrs:
+            self.adj[u].add(v)
+        self.cands.append(cand)
+        self.weights.append(weight)
+        self.occ.append(occ)
+        self.adj[v] = nbrs
+        return v
 
-    def remove_vertex(self, cand: SharingCandidate) -> None:
-        k = cand.key()
-        for u in self.adj.pop(k):
-            self.adj[u].discard(k)
-        self.weights.pop(k)
-        del self.index[k]
+    def remove_vertex(self, v: int) -> None:
+        for u in self.adj.pop(v):
+            self.adj[u].discard(v)
 
-    def weight(self, cand: SharingCandidate) -> float:
-        return self.weights[cand.key()]
-
-    def degree(self, cand: SharingCandidate) -> int:
-        return len(self.adj[cand.key()])
-
-    def neighbors(self, cand: SharingCandidate) -> list[SharingCandidate]:
-        """v's neighbours in vertex order. (A set of string tuples iterates
-        in an order that follows the process's string hash seed.)"""
-        adj = self.adj[cand.key()]
-        return [u for k, u in self.index.items() if k in adj]
+    def weight(self, v: int) -> float:
+        return self.weights[v]
 
     @property
     def n_edges(self) -> int:
@@ -124,10 +106,29 @@ class SharonGraph:
     def copy(self) -> "SharonGraph":
         return SharonGraph(
             self.workload,
-            dict(self.index),
-            dict(self.weights),
-            {k: set(s) for k, s in self.adj.items()},
+            self.cands,
+            self.weights,
+            self.occ,
+            {v: set(s) for v, s in self.adj.items()},
         )
+
+    def components(self) -> list[list[int]]:
+        """The vertices of each connected component (by conflict edges),
+        each component listed from its lowest-numbered vertex, in the
+        order of those vertices."""
+        seen: set[int] = set()
+        comps: list[list[int]] = []
+        for root in self.adj:
+            if root in seen:
+                continue
+            seen.add(root)
+            comp = [root]
+            for v in comp:  # grows while it is walked: a breadth-first search
+                new = self.adj[v] - seen
+                seen |= new
+                comp += new
+            comps.append(comp)
+        return comps
 
 
 def build_graph(

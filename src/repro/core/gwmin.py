@@ -4,32 +4,35 @@ plan finder and as the pruning bound for conflict-ridden candidates.
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 from .graph import SharonGraph
-from .model import SharingCandidate
+
+
+def component_bound(graph: SharonGraph, vertices: Iterable[int]) -> float:
+    """Eq 10 summed over ``vertices``, in their order: GWMIN's output on
+    the subgraph they span weighs at least this much when no edge leaves
+    them (a connected component, or the whole graph)."""
+    w, adj = graph.weights, graph.adj
+    return sum(w[v] / (len(adj[v]) + 1) for v in vertices)
 
 
 def guaranteed_weight(graph: SharonGraph) -> float:
     """Eq 10: GWMIN's output weight is >= sum of w(u) / (degree(u) + 1)."""
-    return sum(
-        graph.weights[v.key()] / (len(graph.adj[v.key()]) + 1)
-        for v in graph.vertices
-    )
+    return component_bound(graph, graph.adj)
 
 
-def gwmin(graph: SharonGraph) -> list[SharingCandidate]:
+def gwmin(graph: SharonGraph) -> list[int]:
     """Algorithm 8: repeatedly take the vertex maximizing w/(deg+1) and
     drop its closed neighborhood. Returns the independent set (a valid
-    sharing plan). Ties break on the earliest-constructed vertex, which
-    keeps runs deterministic."""
+    sharing plan) as vertex numbers. Ties break on the
+    earliest-constructed vertex, which keeps runs deterministic."""
     g = graph.copy()
-    independent: list[SharingCandidate] = []
-    while g.vertices:
-        best = max(
-            g.vertices,
-            key=lambda v: g.weights[v.key()] / (len(g.adj[v.key()]) + 1),
-        )
+    w, adj = g.weights, g.adj
+    independent: list[int] = []
+    while adj:
+        best = max(adj, key=lambda v: w[v] / (len(adj[v]) + 1))
         independent.append(best)
-        doomed = [best] + g.neighbors(best)
-        for v in doomed:
+        for v in [best, *adj[best]]:
             g.remove_vertex(v)
     return independent

@@ -31,7 +31,7 @@ from .planner import (
     find_optimal_plan,
     find_optimal_plan_decomposed,
 )
-from .reduce import reduce_graph
+from .reduce import reduce_components, reduce_graph
 
 # Modeled object sizes (bytes) for the memory metric: a vertex stores its
 # pattern, query list and weight; an edge two refs; a plan its candidate
@@ -65,7 +65,7 @@ class OptimizerResult:
 
 
 def _graph_bytes(g: SharonGraph) -> int:
-    return len(g.vertices) * _VERTEX_BYTES + g.n_edges * 2 * _EDGE_BYTES
+    return len(g.adj) * _VERTEX_BYTES + g.n_edges * 2 * _EDGE_BYTES
 
 
 def _timed(fn, *args):
@@ -82,11 +82,12 @@ def _construct(workload: Workload, cost: CostModel) -> SharonGraph:
 def greedy_optimizer(workload: Workload, cost: CostModel) -> OptimizerResult:
     """GO: graph construction + GWMIN plan finder."""
     g, t_build = _timed(_construct, workload, cost)
-    plan, t_find = _timed(gwmin, g)
+    ids, t_find = _timed(gwmin, g)
+    plan = [g.cands[v] for v in ids]
     return OptimizerResult(
         name="greedy",
         plan=plan,
-        score=sum(g.weight(v) for v in plan),
+        score=sum(g.weight(v) for v in ids),
         phase_latency={"graph": t_build, "gwmin": t_find},
         phase_memory={
             "graph": _graph_bytes(g),
@@ -103,10 +104,10 @@ def exhaustive_optimizer(workload: Workload, cost: CostModel) -> OptimizerResult
     """
     g, t_build = _timed(_construct, workload, cost)
     gx, t_expand = _timed(expand_graph, g, cost)
-    if len(gx.vertices) > _EO_MAX_VERTICES:
+    if len(gx.adj) > _EO_MAX_VERTICES:
         raise ValueError(
-            f"exhaustive search over {len(gx.vertices)} candidates "
-            f"(2^{len(gx.vertices)} plans) marked DNF"
+            f"exhaustive search over {len(gx.adj)} candidates "
+            f"(2^{len(gx.adj)} plans) marked DNF"
         )
     stats = PlanSearchStats()
     (plan, score), t_search = _timed(exhaustive_optimal_plan, gx, stats)
@@ -119,7 +120,7 @@ def exhaustive_optimizer(workload: Workload, cost: CostModel) -> OptimizerResult
             "graph": _graph_bytes(g),
             "expand": _graph_bytes(gx),
             "search": _graph_bytes(gx)
-            + stats.peak_level_plans * len(gx.vertices) * _PLAN_ENTRY_BYTES,
+            + stats.peak_level_plans * len(gx.adj) * _PLAN_ENTRY_BYTES,
         },
     )
 
@@ -133,16 +134,21 @@ def sharon_optimizer(
 ) -> OptimizerResult:
     """SO: construction + expansion + reduction + plan finder (optimal).
 
-    By default the finder runs per connected component (same optimum,
-    far smaller traversal — see planner docs). ``decompose=False`` runs
-    the paper's as-printed finder, whose plan levels grow with the
-    product of the components' valid spaces. For a dynamic workload
-    (Section 7.4), re-run this on fresh statistics."""
+    By default reduction and finder run per connected component (same
+    optimum, far smaller traversal — see the reduce and planner docs).
+    ``decompose=False`` runs the paper's as-printed Alg 2, with one bound
+    for the whole graph, and its as-printed finder, whose plan levels
+    grow with the product of the components' valid spaces. For a dynamic
+    workload (Section 7.4), re-run this on fresh statistics."""
     g, t_build = _timed(_construct, workload, cost)
     gx, t_expand = _timed(expand_graph, g, cost, max_options)
-    red, t_reduce = _timed(lambda: reduce_graph(gx, guaranteed_weight(gx)))
+    if decompose:
+        red, t_reduce = _timed(reduce_components, gx)
+        finder = find_optimal_plan_decomposed
+    else:
+        red, t_reduce = _timed(lambda: reduce_graph(gx, guaranteed_weight(gx)))
+        finder = find_optimal_plan
     stats = PlanSearchStats()
-    finder = find_optimal_plan_decomposed if decompose else find_optimal_plan
     (plan, score), t_find = _timed(finder, red.graph, red.conflict_free, stats)
     score += sum(gx.weight(v) for v in red.conflict_free)
     return OptimizerResult(
@@ -161,7 +167,7 @@ def sharon_optimizer(
             "reduce": _graph_bytes(red.graph),
             "finder": _graph_bytes(red.graph)
             + stats.peak_level_plans
-            * max(1, len(red.graph.vertices))
+            * max(1, len(red.graph.adj))
             * _PLAN_ENTRY_BYTES,
         },
     )

@@ -1,25 +1,28 @@
 """Sharing plan finder (paper Section 6, Algs 3-4) plus the exhaustive
 baseline used by the Exhaustive Optimizer in Section 8.3.
 
-Plans are tuples of vertex keys sorted lexicographically (the paper sorts
-candidates "alphabetically by their patterns within a plan"), so the
+The paper sorts candidates "alphabetically by their patterns within a
+plan". The finder ranks the vertices by their candidates' keys once per
+call, and a plan is a tuple of vertex numbers in rank order; so the
 Apriori-style join of Algorithm 3 — two parents agreeing on the first
 s-1 candidates whose last candidates are non-adjacent — generates each
-child exactly once. ``PlanSearchStats`` records the per-level plan counts
-that back the optimizer latency/memory experiment (Fig 15) and the
-search-space percentages of Examples 9-10.
+child exactly once, and each level comes out in lexicographic rank
+order. ``PlanSearchStats`` records the per-level plan counts that back
+the optimizer latency/memory experiment (Fig 15) and the search-space
+percentages of Examples 9-10.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterator
 
 from .graph import SharonGraph
 from .model import SharingCandidate
 
-PlanKey = tuple  # sorted tuple of vertex keys
+PlanKey = tuple  # vertex numbers in rank order
 
 
 @dataclass
@@ -35,8 +38,10 @@ class PlanSearchStats:
         return sum(self.plans_per_level)
 
 
-def _score(graph: SharonGraph, plan: PlanKey) -> float:
-    return sum(graph.weights[k] for k in plan)
+def ranked(graph: SharonGraph) -> list[int]:
+    """The graph's vertices sorted by their candidates' keys."""
+    cands = graph.cands
+    return sorted(graph.adj, key=lambda v: cands[v].key())
 
 
 def get_next_level(
@@ -46,86 +51,72 @@ def get_next_level(
 
     Base case (s=1): all non-adjacent vertex pairs. Inductive case: join
     parents sharing the first s-1 candidates; the child is valid iff the
-    two differing last candidates are non-adjacent (Lemma 6).
+    two differing last candidates are non-adjacent (Lemma 6). Parents in
+    rank order give children in rank order.
     """
+    adj = graph.adj
     children: list[PlanKey] = []
     s = len(parents[0]) if parents else 0
-    for i in range(len(parents)):
-        pi = parents[i]
-        for j in range(i + 1, len(parents)):
-            pj = parents[j]
-            if pi[: s - 1] != pj[: s - 1]:
-                # Parents are sorted; once prefixes diverge no later j matches.
-                break
-            a, b = pi[s - 1], pj[s - 1]
-            if b not in graph.adj[a]:
-                children.append(pi + (b,))
+    # Parents are sorted: those sharing a prefix form one run.
+    for _, run in groupby(parents, itemgetter(slice(0, s - 1))):
+        run = list(run)
+        lasts = [p[-1] for p in run]
+        for k, pa in enumerate(run, 1):
+            nbrs = adj[pa[-1]]
+            children += [pa + (b,) for b in lasts[k:] if b not in nbrs]
     return children
 
 
-def _levels(graph: SharonGraph, keys: Iterable[tuple]) -> Iterator[list[PlanKey]]:
-    """The valid plans over vertices ``keys``, level by level: single
-    candidates first, then each level from the last by Algorithm 3,
-    until one is empty."""
-    level: list[PlanKey] = sorted((k,) for k in keys)
+def _levels(graph: SharonGraph, order: list[int]) -> Iterator[list[PlanKey]]:
+    """The valid plans over vertices ``order`` (in rank order), level by
+    level: single candidates first, then each level from the last by
+    Algorithm 3, until one is empty."""
+    level: list[PlanKey] = [(v,) for v in order]
     while level:
         yield level
-        level = sorted(get_next_level(graph, level))
+        level = get_next_level(graph, level)
 
 
 def _search(
-    graph: SharonGraph, keys: Iterable[tuple], stats: PlanSearchStats | None
+    graph: SharonGraph, order: list[int], stats: PlanSearchStats | None
 ) -> tuple[PlanKey, float]:
-    """Algorithm 4 over vertices ``keys``: BFS over their valid plans,
-    pruning invalid branches at their roots; returns the best plan and
-    its score."""
+    """Algorithm 4 over vertices ``order`` (in rank order): BFS over
+    their valid plans, pruning invalid branches at their roots; returns
+    the first best plan and its score."""
+    w = graph.weights.__getitem__
     opt: PlanKey = ()
     best = 0.0
-    for level in _levels(graph, keys):
+    for level in _levels(graph, order):
         if stats is not None:
             stats.plans_per_level.append(len(level))
             stats.peak_level_plans = max(stats.peak_level_plans, len(level))
         for plan in level:
-            sc = _score(graph, plan)
+            sc = sum(map(w, plan))
             if sc > best:
                 opt, best = plan, sc
     return opt, best
 
 
+def _candidates(graph: SharonGraph, vertices) -> list[SharingCandidate]:
+    return [graph.cands[v] for v in vertices]
+
+
 def find_optimal_plan(
     graph: SharonGraph,
-    conflict_free: list[SharingCandidate] | None = None,
+    conflict_free: list[int] | None = None,
     stats: PlanSearchStats | None = None,
 ) -> tuple[list[SharingCandidate], float]:
     """Algorithm 4 over the whole graph. Returns (optimal plan with the
-    conflict-free candidates F appended, best score over the *reduced*
+    conflict-free vertices F appended, best score over the *reduced*
     space — callers holding the original graph add F's weights to get
     the full score)."""
-    opt, best = _search(graph, graph.index, stats)
-    return [graph.index[k] for k in opt] + list(conflict_free or []), best
-
-
-def _components(graph: SharonGraph) -> list[list[tuple]]:
-    """Vertex keys of each connected component (by conflict edges)."""
-    seen: set[tuple] = set()
-    comps: list[list[tuple]] = []
-    for root in graph.index:
-        if root in seen:
-            continue
-        seen.add(root)
-        comp = [root]
-        for k in comp:  # grows while it is walked: a breadth-first search
-            for u in graph.adj[k]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-        comps.append(comp)
-    return comps
+    opt, best = _search(graph, ranked(graph), stats)
+    return _candidates(graph, [*opt, *(conflict_free or [])]), best
 
 
 def find_optimal_plan_decomposed(
     graph: SharonGraph,
-    conflict_free: list[SharingCandidate] | None = None,
+    conflict_free: list[int] | None = None,
     stats: PlanSearchStats | None = None,
 ) -> tuple[list[SharingCandidate], float]:
     """Optimality-preserving engineering extension of Algorithm 4: run
@@ -135,19 +126,20 @@ def find_optimal_plan_decomposed(
     the *product* of component valid-space sizes to their *sum*. The
     paper's finder (no decomposition) is :func:`find_optimal_plan`; the
     large plan-quality sweeps (Fig 16) use this variant."""
-    plan: list[SharingCandidate] = list(conflict_free or [])
+    rank = {v: r for r, v in enumerate(ranked(graph))}
+    plan: list[int] = []
     score = 0.0
-    for keys in _components(graph):
-        opt, best = _search(graph, keys, stats)
-        plan += [graph.index[k] for k in opt]
+    for comp in graph.components():
+        opt, best = _search(graph, sorted(comp, key=rank.__getitem__), stats)
+        plan += opt
         score += best
-    return plan, score
+    return _candidates(graph, [*(conflict_free or []), *plan]), score
 
 
 def all_valid_plans(graph: SharonGraph) -> list[PlanKey]:
     """Every non-empty valid plan, via the level-wise generator. Used by
     tests to pin Example 10's valid-space size (10 plans)."""
-    return [plan for level in _levels(graph, graph.index) for plan in level]
+    return [plan for level in _levels(graph, ranked(graph)) for plan in level]
 
 
 def exhaustive_optimal_plan(
@@ -156,18 +148,19 @@ def exhaustive_optimal_plan(
     """The naive finder: enumerate all 2^|V| candidate subsets, keep the
     best valid one. Exponential with no pruning — the Exhaustive
     Optimizer baseline of Section 8.3."""
-    keys = sorted(graph.index)
+    order = ranked(graph)
+    adj, w = graph.adj, graph.weights.__getitem__
     opt: tuple = ()
     best = 0.0
-    for s in range(1, len(keys) + 1):
-        for combo in combinations(keys, s):
-            if any(b in graph.adj[a] for a, b in combinations(combo, 2)):
+    for s in range(1, len(order) + 1):
+        for combo in combinations(order, s):
+            if any(b in adj[a] for a, b in combinations(combo, 2)):
                 continue
-            sc = _score(graph, combo)
+            sc = sum(map(w, combo))
             if sc > best:
                 opt, best = combo, sc
         if stats is not None:
-            n_subsets = comb(len(keys), s)
+            n_subsets = comb(len(order), s)
             stats.plans_per_level.append(n_subsets)
             stats.peak_level_plans = max(stats.peak_level_plans, n_subsets)
-    return [graph.index[k] for k in opt], best
+    return _candidates(graph, opt), best

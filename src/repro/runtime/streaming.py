@@ -8,8 +8,8 @@ belong to an open window, and after each batch counts the windows the
 stream has just passed in one pass over those events, restricted to
 those windows' (event, window) rows, emits them and evicts the events
 that only closed windows used. Each window is thus counted once, by the
-pass that closes it, and a pass whose windows hold no event costs no
-kernel work. Its state is therefore
+pass that closes it, and windows that hold no event are closed without
+a pass. Its state is therefore
 the events of less than one WITHIN span, whatever the stream length, and
 its counts are the core's exact int64 counts — chunked results are
 identical to one-shot evaluation (tested).
@@ -56,8 +56,13 @@ class MicroBatchExecutor:
         if closed <= self._open:
             return
         held = pd.concat(self._held)
-        self._emitted.append(self._counts(held, stop=closed))
-        self._held = [held[held["time"].to_numpy() >= closed * q0.slide]]
+        t = held["time"].to_numpy()
+        # An event at t falls in windows (t - within) // slide + 1 to
+        # t // slide; count the closed ones only if some event is in one.
+        first = np.maximum((t - q0.within) // q0.slide + 1, self._open)
+        if (first <= np.minimum(t // q0.slide, closed - 1)).any():
+            self._emitted.append(self._counts(held, stop=closed))
+        self._held = [held[t >= closed * q0.slide]]
         self._open = closed
 
     def _counts(self, held: pd.DataFrame, stop: int | None = None) -> pd.DataFrame:

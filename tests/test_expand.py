@@ -14,17 +14,13 @@ import repro
 from repro.core.ccspan import sharable_patterns
 from repro.core.cost import CostModel, uniform_rates
 from repro.core.expand import expand_candidate, expand_graph
-from repro.core.graph import (
-    SharonGraph,
-    build_graph,
-    conflict_causing_queries,
-    in_conflict,
-)
+from repro.core.graph import SharonGraph, build_graph, conflict_causing_queries
 from repro.core.gwmin import guaranteed_weight
 from repro.core.model import SharingCandidate, Workload
 from repro.core.optimizer import sharon_optimizer
 from repro.core.planner import find_optimal_plan, find_optimal_plan_decomposed
-from repro.core.reduce import reduce_graph
+from repro.core.reduce import reduce_components, reduce_graph
+from tests.test_graph_and_planner import in_conflict
 from repro.workloads import (
     FIG4_WEIGHTS,
     clustered_example_workload,
@@ -39,9 +35,17 @@ P5 = ("OakSt", "MainSt", "WestSt")
 
 
 def vertex(graph, p):
-    """The graph's one vertex with pattern ``p`` (unique before expansion)."""
-    (v,) = [v for v in graph.vertices if v.p == p]
+    """The number of the graph's one vertex with pattern ``p`` (unique
+    before expansion)."""
+    (v,) = [v for v in graph.adj if graph.cands[v].p == p]
     return v
+
+
+def causes(graph, v, u):
+    """C(v, u) from the occurrences the graph holds."""
+    return conflict_causing_queries(
+        graph.cands[v], graph.occ[v], graph.cands[u], graph.occ[u]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -63,17 +67,17 @@ class TestConflictCauses:
     def test_p1_p2_caused_by_q3_q4(self, workload, graph):
         v = vertex(graph, P1)
         u = vertex(graph, P2)
-        assert conflict_causing_queries(workload, v, u) == frozenset({2, 3})
+        assert causes(graph, v, u) == frozenset({2, 3})
 
     def test_p1_p4_caused_by_q2_q4(self, workload, graph):
         v = vertex(graph, P1)
         u = vertex(graph, P4)
-        assert conflict_causing_queries(workload, v, u) == frozenset({1, 3})
+        assert causes(graph, v, u) == frozenset({1, 3})
 
     def test_p1_p6_caused_by_q1(self, workload, graph):
         v = vertex(graph, P1)
         u = vertex(graph, ("MainSt", "StateSt"))
-        assert conflict_causing_queries(workload, v, u) == frozenset({0})
+        assert causes(graph, v, u) == frozenset({0})
 
 
 class TestExample13and14:
@@ -81,8 +85,8 @@ class TestExample13and14:
         opts = expand_candidate(graph, vertex(graph, P1))
         by_qids = {o.qids: o for o in opts}
         opt = by_qids[frozenset({0, 2})]  # (p1, {q1, q3})
-        p4 = vertex(graph, P4)
-        p5 = vertex(graph, P5)
+        p4 = graph.cands[vertex(graph, P4)]
+        p5 = graph.cands[vertex(graph, P5)]
         assert not in_conflict(workload, opt, p4)
         assert not in_conflict(workload, opt, p5)
 
@@ -97,16 +101,16 @@ class TestExample13and14:
 
     def test_original_candidate_in_options(self, graph):
         v = vertex(graph, P1)
-        assert v.qids in {o.qids for o in expand_candidate(graph, v)}
+        assert graph.cands[v].qids in {o.qids for o in expand_candidate(graph, v)}
 
     def test_conflict_free_candidate_not_expanded(self, graph):
         v = vertex(graph, ("ElmSt", "ParkAve"))
-        assert expand_candidate(graph, v) == [v]
+        assert expand_candidate(graph, v) == [graph.cands[v]]
 
     def test_example15_p2_expands_to_itself_only(self, graph):
         # Dropping any cause of p2's conflicts leaves < 2 queries.
         v = vertex(graph, P2)
-        assert [o.qids for o in expand_candidate(graph, v)] == [v.qids]
+        assert [o.qids for o in expand_candidate(graph, v)] == [graph.cands[v].qids]
 
 
 class TestExpandedGraph:
@@ -118,21 +122,22 @@ class TestExpandedGraph:
         assert len(expanded.vertices) > len(graph.vertices)
 
     def test_original_candidates_present_with_weights(self, graph, expanded):
-        keys = {v.key() for v in expanded.vertices}
-        for v in graph.vertices:
-            assert v.key() in keys
-            assert expanded.weight(v) == graph.weight(v)
+        number = {c.key(): v for v, c in enumerate(expanded.cands)}
+        for v, c in enumerate(graph.cands):
+            assert c.key() in number
+            assert expanded.weight(number[c.key()]) == graph.weight(v)
 
     def test_options_of_same_pattern_conflict_on_shared_queries(
         self, workload, expanded
     ):
-        p1_opts = [v for v in expanded.vertices if v.p == P1]
+        p1_opts = [v for v in expanded.adj if expanded.cands[v].p == P1]
         assert len(p1_opts) > 1
         for a in p1_opts:
             for b in p1_opts:
-                if a is b:
+                if a == b:
                     continue
-                assert (b.key() in expanded.adj[a.key()]) == bool(a.qids & b.qids)
+                shared = expanded.cands[a].qids & expanded.cands[b].qids
+                assert (b in expanded.adj[a]) == bool(shared)
 
     def test_expanded_plan_at_least_as_good(self, graph, expanded):
         _, base = find_optimal_plan(graph)
@@ -153,8 +158,7 @@ class TestExpansionElsewhere:
         assert len(gx.vertices) >= len(g.vertices)
 
     def test_disjoint_option_pairs_can_coexist(self, workload, graph):
-        v = vertex(graph, P1)
-        opts = expand_candidate(graph, v)
+        opts = expand_candidate(graph, vertex(graph, P1))
         by_qids = {o.qids: o for o in opts}
         a = by_qids.get(frozenset({0, 1}))
         b = by_qids.get(frozenset({2, 3}))
@@ -193,8 +197,8 @@ def _under_hash_seeds(script):
 
 def test_expansion_independent_of_hash_seed():
     # max_options truncates here, so the options kept depend on the order
-    # in which Alg 5 walks each candidate's neighbours; string-keyed sets
-    # iterate in an order that follows the process's hash seed.
+    # in which Alg 5 walks each candidate's neighbours and their causes;
+    # nothing on that path may follow the order of a set of strings.
     keys = _under_hash_seeds(_EXPAND_TRAP)
     assert keys[0] == keys[1]
 
@@ -220,34 +224,36 @@ gx = expand_graph(build_graph(wl, sharable_patterns(wl), cost=cost), cost)
 red = reduce_graph(gx, guaranteed_weight(gx))
 res = sharon_optimizer(wl, cost)
 print(len(gx.vertices))
-print([score_max(gx, v).hex() for v in gx.vertices])
-print([v.key() for v in red.conflict_free], [v.key() for v in red.pruned])
+print([score_max(gx, v).hex() for v in gx.adj])
+print([gx.cands[v].key() for v in red.conflict_free + red.pruned])
 print(sorted(c.key() for c in res.plan), res.score.hex())
 """
 
 
 def test_reduction_independent_of_hash_seed():
-    # Score_max subtracts v's summed neighbour weights; summed over an
-    # adjacency set, their last bits followed the hash seed.
+    # Score_max subtracts v's summed neighbour weights, whose last bits
+    # must not follow the order of any set.
     out = _under_hash_seeds(_REDUCE_SHARED_CORE)
     assert int(out[0].split("\n")[0]) > 300
     assert out[0] == out[1]
 
 
 def _pairwise_options(graph, v, max_options):
-    """Reference Alg 5: every option re-derives its causes against u."""
-    options = {v.qids: v}
-    current = [v]
+    """Reference Alg 5: every option re-derives its causes against u,
+    on frozensets of queries."""
+    root = graph.cands[v]
+    options = {root.qids: root}
+    current = [root]
     while current and len(options) < max_options:
         nxt = []
         for cand in current:
-            for u in graph.neighbors(v):
-                qc = conflict_causing_queries(graph.workload, cand, u)
+            for u in sorted(graph.adj[v]):
+                qc = cand.qids & causes(graph, v, u)
                 for r in range(1, len(qc) + 1):
                     for combo in combinations(sorted(qc), r):
                         qp = cand.qids - set(combo)
                         if len(qp) > 1 and qp not in options:
-                            options[qp] = SharingCandidate(v.p, frozenset(qp))
+                            options[qp] = SharingCandidate(root.p, frozenset(qp))
                             nxt.append(options[qp])
                             if len(options) >= max_options:
                                 return list(options.values())
@@ -259,11 +265,9 @@ def _pairwise_expand_graph(graph, cost, max_options=128):
     """Reference Alg 6: ``add_vertex`` tests every option pair with
     ``in_conflict``."""
     ref = SharonGraph(graph.workload)
-    for v in graph.vertices:
+    for v in graph.adj:
         for opt in _pairwise_options(graph, v, max_options):
-            if opt.key() in ref.adj:
-                continue
-            w = graph.weight(v) if opt.key() == v.key() else cost.bvalue(opt)
+            w = graph.weight(v) if opt == graph.cands[v] else cost.bvalue(opt)
             if w > 0:
                 ref.add_vertex(opt, w)
     return ref
@@ -320,27 +324,26 @@ class TestDerivedEdgesMatchPairwise:
         _, cost, g = DIFF_CASES[case]()
         if max_options < 128:  # the case must really truncate
             assert any(
-                len(expand_candidate(g, v)) > max_options for v in g.vertices
+                len(expand_candidate(g, v)) > max_options for v in g.adj
             )
         got = expand_graph(g, cost, max_options)
         ref = _pairwise_expand_graph(g, cost, max_options)
         assert got.n_edges > 0
+        # Same candidates in the same order, so the same vertex numbers.
         assert [v.key() for v in got.vertices] == [v.key() for v in ref.vertices]
-        assert list(got.weights.items()) == list(ref.weights.items())
-        # Same members inserted in the same order: same iteration order,
-        # which is what BFS neighbour order and float sums over sets see.
+        assert got.weights == ref.weights
         assert list(got.adj) == list(ref.adj)
-        assert {k: list(s) for k, s in got.adj.items()} == {
-            k: list(s) for k, s in ref.adj.items()
-        }
+        assert got.adj == ref.adj
 
     @pytest.mark.parametrize("case", ["clustered3", "shared_core", "repeated_types"])
     @pytest.mark.parametrize("decompose", [False, True])
     def test_sharon_optimizer_plan_unchanged(self, case, decompose):
         wl, cost, g = DIFF_CASES[case]()
         ref = _pairwise_expand_graph(g, cost)
-        red = reduce_graph(ref, guaranteed_weight(ref))
-        finder = find_optimal_plan_decomposed if decompose else find_optimal_plan
+        if decompose:
+            red, finder = reduce_components(ref), find_optimal_plan_decomposed
+        else:
+            red, finder = reduce_graph(ref, guaranteed_weight(ref)), find_optimal_plan
         plan, score = finder(red.graph, red.conflict_free)
         score += sum(ref.weight(v) for v in red.conflict_free)
         res = sharon_optimizer(wl, cost, decompose=decompose)
@@ -351,28 +354,28 @@ class TestDerivedEdgesMatchPairwise:
 def _resumming_reduce(graph, min_weight):
     """Alg 2 with Score_max re-summing every weight on each call (the
     O(V) form ``reduce_graph`` replaced); returns (free, pruned, kept)
-    keys."""
+    vertex numbers."""
     g = graph.copy()
     free, pruned, free_weight = [], [], 0.0
     changed = True
     while changed:
         changed = False
-        for v in list(g.vertices):
-            if g.degree(v) == 0:
-                free.append(v.key())
+        for v in list(g.adj):
+            if not g.adj[v]:
+                free.append(v)
                 free_weight += g.weight(v)
             elif (
                 free_weight
-                + sum(g.weights.values())
-                - sum(g.weights[k] for k in g.adj[v.key()])
+                + sum(g.weights[u] for u in g.adj)
+                - sum(g.weights[u] for u in g.adj[v])
                 < min_weight
             ):
-                pruned.append(v.key())
+                pruned.append(v)
             else:
                 continue
             g.remove_vertex(v)
             changed = True
-    return free, pruned, [v.key() for v in g.vertices]
+    return free, pruned, list(g.adj)
 
 
 class TestReduceRunningTotal:
@@ -390,7 +393,7 @@ class TestReduceRunningTotal:
         bound = guaranteed_weight(g)
         red = reduce_graph(g, bound)
         free, pruned, kept = _resumming_reduce(g, bound)
-        assert [v.key() for v in red.conflict_free] == free
-        assert [v.key() for v in red.pruned] == pruned
-        assert [v.key() for v in red.graph.vertices] == kept
+        assert red.conflict_free == free
+        assert red.pruned == pruned
+        assert list(red.graph.adj) == kept
         assert bool(red.pruned or red.conflict_free) == (case != "shared_core")

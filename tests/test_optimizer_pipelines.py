@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from repro.core.cost import CostModel, uniform_rates
-from repro.core.graph import in_conflict
 from repro.core.optimizer import (
     exhaustive_optimizer,
     greedy_optimizer,
@@ -18,6 +17,7 @@ from repro.workloads import (
     shared_core_workload,
     traffic_workload,
 )
+from tests.test_graph_and_planner import in_conflict
 
 
 def cost_for(wl, rate=10.0):

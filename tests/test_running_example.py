@@ -7,10 +7,11 @@ import math
 import pytest
 
 from repro.core.ccspan import sharable_patterns
-from repro.core.graph import build_graph, in_conflict
+from repro.core.graph import build_graph
 from repro.core.gwmin import guaranteed_weight, gwmin
 from repro.core.planner import all_valid_plans, find_optimal_plan
 from repro.core.reduce import reduce_graph, score_max
+from tests.test_graph_and_planner import in_conflict
 from repro.workloads import FIG4_WEIGHTS, traffic_workload
 
 P1 = ("OakSt", "MainSt")
@@ -33,8 +34,9 @@ TABLE1 = {
 
 
 def vertex(graph, p):
-    """The graph's one vertex with pattern ``p`` (unique before expansion)."""
-    (v,) = [v for v in graph.vertices if v.p == p]
+    """The number of the graph's one vertex with pattern ``p`` (unique
+    before expansion)."""
+    (v,) = [v for v in graph.adj if graph.cands[v].p == p]
     return v
 
 
@@ -73,7 +75,7 @@ class TestFigure4Graph:
         [(P1, 5), (P2, 3), (P3, 4), (P4, 3), (P5, 4), (P6, 1), (P7, 0)],
     )
     def test_degrees(self, graph, p, degree):
-        assert graph.degree(vertex(graph, p)) == degree
+        assert len(graph.adj[vertex(graph, p)]) == degree
 
     @pytest.mark.parametrize("p,w", sorted(FIG4_WEIGHTS.items()))
     def test_weights(self, graph, p, w):
@@ -94,10 +96,9 @@ class TestFigure4Graph:
             frozenset((P4, P5)),
         }
         got = set()
-        for v in graph.vertices:
-            for u in graph.vertices:
-                if v.key() < u.key() and u.key() in graph.adj[v.key()]:
-                    got.add(frozenset((v.p, u.p)))
+        for v in graph.adj:
+            for u in graph.adj[v]:
+                got.add(frozenset((graph.cands[v].p, graph.cands[u].p)))
         assert got == expected
 
     def test_conflict_is_symmetric(self, workload, graph):
@@ -110,7 +111,7 @@ class TestExample5Scores:
     def test_valid_plan_score_24(self, graph):
         a = vertex(graph, P2)
         b = vertex(graph, P4)
-        assert b.key() not in graph.adj[a.key()]
+        assert b not in graph.adj[a]
         assert graph.weight(a) + graph.weight(b) == 24.0
 
     def test_p1_plan_scores_25(self, graph):
@@ -136,10 +137,10 @@ class TestReduction:
         return reduce_graph(graph, guaranteed_weight(graph))
 
     def test_p7_extracted_conflict_free(self, reduced):
-        assert [v.p for v in reduced.conflict_free] == [P7]
+        assert [reduced.graph.cands[v].p for v in reduced.conflict_free] == [P7]
 
     def test_p3_pruned(self, reduced):
-        assert [v.p for v in reduced.pruned] == [P3]
+        assert [reduced.graph.cands[v].p for v in reduced.pruned] == [P3]
 
     def test_reduced_graph_has_five_vertices(self, reduced):
         # Example 9: search space shrinks from 2^7 to 2^5 (by 96 plans).
@@ -169,7 +170,7 @@ class TestPlanFinder:
 
     def test_example12_greedy_plan_scores_43(self, graph):
         plan = gwmin(graph)
-        assert {v.p for v in plan} == {P1, P7}
+        assert {graph.cands[v].p for v in plan} == {P1, P7}
         assert sum(graph.weight(v) for v in plan) == 43.0
 
     def test_optimal_beats_greedy_by_16_percent(self, graph):
