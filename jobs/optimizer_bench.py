@@ -19,8 +19,7 @@ of the running example) at its uniform rate. Per workload:
 
 Measure two versions of the code in two processes (this script copied
 into each checkout), each writing its own ``--label`` into the one JSON
-file. A checkout without ``reduce_components`` reduces with one bound for
-the whole graph, as its ``sharon_optimizer`` does.
+file.
 """
 from __future__ import annotations
 
@@ -38,17 +37,16 @@ ROOT = Path(__file__).resolve().parents[1]
 # Run straight from a checkout: its own sources and its perfbench.
 sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]
 
-from repro.core import reduce as reduction  # noqa: E402
 from repro.core.ccspan import sharable_patterns  # noqa: E402
 from repro.core.cost import CostModel, uniform_rates  # noqa: E402
 from repro.core.expand import expand_graph  # noqa: E402
 from repro.core.graph import build_graph  # noqa: E402
-from repro.core.gwmin import guaranteed_weight  # noqa: E402
 from repro.core.optimizer import sharon_optimizer  # noqa: E402
 from repro.core.planner import (  # noqa: E402
     PlanSearchStats,
     find_optimal_plan_decomposed,
 )
+from repro.core.reduce import reduce_components  # noqa: E402
 from repro.workloads import clustered_example_workload  # noqa: E402
 
 PERFBENCH = ("shared_core", "traffic_clusters")
@@ -62,10 +60,7 @@ def counts(workload, cost, res) -> dict:
     """One phase-by-phase rebuild of ``res``'s call: its figures."""
     g = build_graph(workload, sharable_patterns(workload), cost=cost)
     gx = expand_graph(g, cost)
-    if hasattr(reduction, "reduce_components"):
-        red = reduction.reduce_components(gx)
-    else:
-        red = reduction.reduce_graph(gx, guaranteed_weight(gx))
+    red = reduce_components(gx)
     stats = PlanSearchStats()
     plan, score = find_optimal_plan_decomposed(red.graph, red.conflict_free, stats)
     score += sum(gx.weight(v) for v in red.conflict_free)

@@ -21,7 +21,7 @@ import pandas as pd
 
 from ..core.model import Workload
 from .sharon import run_plan_pandas
-from .windows import check_times
+from .windows import check_times, window_rows
 
 
 class MicroBatchExecutor:
@@ -57,10 +57,11 @@ class MicroBatchExecutor:
             return
         held = pd.concat(self._held)
         t = held["time"].to_numpy()
-        # An event at t falls in windows (t - within) // slide + 1 to
-        # t // slide; count the closed ones only if some event is in one.
-        first = np.maximum((t - q0.within) // q0.slide + 1, self._open)
-        if (first <= np.minimum(t // q0.slide, closed - 1)).any():
+        # Count the closed windows only if some held event is in one.
+        src, _ = window_rows(
+            t, within=q0.within, slide=q0.slide, first=self._open, stop=closed
+        )
+        if len(src):
             self._emitted.append(self._counts(held, stop=closed))
         self._held = [held[t >= closed * q0.slide]]
         self._open = closed

@@ -208,10 +208,12 @@ def test_component_reduction_matches_brute_force(sizes, p_edge, seed):
     assert score == brute_force_mwis(g)[1]
 
 
-def test_component_bound_prunes_fig15_clusters():
-    # Five independent copies of the running example: the global bound
-    # falls below every Score_max, each component's own bound does not.
-    wl = clustered_example_workload(n_clusters=5)
+@pytest.mark.parametrize("n_clusters", [5, 10])
+def test_component_bound_prunes_fig15_clusters(n_clusters):
+    # Independent copies of the running example (Fig 15's 35 and 70
+    # queries): the global bound falls below every Score_max, each
+    # component's own bound does not.
+    wl = clustered_example_workload(n_clusters=n_clusters)
     cost = CostModel(wl, uniform_rates(wl.event_types, 2.0))
     gx = expand_graph(build_graph(wl, sharable_patterns(wl), cost=cost), cost)
     assert reduce_graph(gx, guaranteed_weight(gx)).pruned == []
