@@ -21,7 +21,7 @@ import pandas as pd
 
 from ..core.model import Workload
 from .sharon import run_plan_pandas
-from .windows import check_times, window_rows
+from .windows import check_times, window_span
 
 
 class MicroBatchExecutor:
@@ -58,10 +58,10 @@ class MicroBatchExecutor:
         held = pd.concat(self._held)
         t = held["time"].to_numpy()
         # Count the closed windows only if some held event is in one.
-        src, _ = window_rows(
+        lo, hi = window_span(
             t, within=q0.within, slide=q0.slide, first=self._open, stop=closed
         )
-        if len(src):
+        if (lo <= hi).any():
             self._emitted.append(self._counts(held, stop=closed))
         self._held = [held[t >= closed * q0.slide]]
         self._open = closed

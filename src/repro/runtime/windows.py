@@ -39,6 +39,24 @@ def check_times(tmin: int) -> None:
         )
 
 
+def window_span(
+    times: np.ndarray,
+    *,
+    within: int,
+    slide: int,
+    first: int = 0,
+    stop: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's first and last window id ``(lo, hi)`` among windows
+    ``first <= wid < stop`` (every window by default); ``lo > hi`` for an
+    event in none of them."""
+    lo = np.maximum(first, (times - within) // slide + 1)
+    hi = times // slide
+    if stop is not None:
+        hi = np.minimum(hi, stop - 1)
+    return lo, hi
+
+
 def window_rows(
     times: np.ndarray,
     *,
@@ -59,10 +77,7 @@ def window_rows(
     run."""
     if len(times):
         check_times(int(times.min()))
-    lo = np.maximum(first, (times - within) // slide + 1)
-    hi = times // slide
-    if stop is not None:
-        hi = np.minimum(hi, stop - 1)
+    lo, hi = window_span(times, within=within, slide=slide, first=first, stop=stop)
     reps = np.maximum(hi - lo + 1, 0)
     src = np.repeat(np.arange(len(times)), reps)
     run_start = np.cumsum(reps) - reps

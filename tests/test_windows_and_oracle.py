@@ -14,6 +14,7 @@ from repro.runtime.windows import (
     n_windows,
     partition_rows,
     window_rows,
+    window_span,
 )
 from repro.synth_data import event_stream
 
@@ -148,6 +149,21 @@ class TestVectorizedExplosion:
         got = window_rows(t, within=within, slide=slide, first=first, stop=stop)
         assert got[0].tolist() == src[keep].tolist()
         assert got[1].tolist() == wid[keep].tolist()
+
+    @pytest.mark.parametrize(
+        "within,slide", [(120, 60), (600, 60), (30, 100), (7, 3)]
+    )
+    @pytest.mark.parametrize(
+        "first,stop", [(0, 3), (2, 9), (5, 6), (4, None), (50, 60)]
+    )
+    def test_window_span_bounds_the_rows(self, within, slide, first, stop):
+        # Each event's rows in a range are its windows lo..hi, none where
+        # lo > hi: the span MicroBatchExecutor tests before a pass.
+        t = np.sort(random_stream(3, n=300, horizon=400)["time"].to_numpy())
+        lo, hi = window_span(t, within=within, slide=slide, first=first, stop=stop)
+        src, wid = window_rows(t, within=within, slide=slide, first=first, stop=stop)
+        for i in range(len(t)):
+            assert wid[src == i].tolist() == list(range(lo[i], hi[i] + 1))
 
     @pytest.mark.parametrize("t", [-1, -49, -50, -51, -1000])
     def test_negative_times_rejected(self, t):
